@@ -6,8 +6,10 @@ random numbers honors --seed and falls back to the fixed documented default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -19,8 +21,10 @@ from .params import (
     AtomModel,
     DEFAULT_SEED,
     DetectorParams,
+    QuadratureError,
     QuantumDetectorParams,
     SeriesControl,
+    TruncationError,
     dimensionless_intensity,
 )
 
@@ -46,6 +50,19 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _write_file(path, text: str) -> None:
+    """Write through a temporary file and a rename, so that a failed run
+    leaves no partial file at path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -53,13 +70,16 @@ def _write_csv(path, header, rows) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        _write_file(path, text)
+
+
+def _json_text(obj) -> str:
+    # NaN and infinity are not JSON; refusing them raises ValueError (exit 2)
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _print_json(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(obj))
 
 
 def _add_param_flags(sub) -> None:
@@ -142,9 +162,7 @@ def cmd_sweep(args) -> int:
         _write_csv(args.out, RateCurve.HEADER, curve.rows)
         sidecar = {"columns": list(RateCurve.HEADER), **curve.metadata}
         if args.out is not None:
-            with open(args.out + ".meta.json", "w") as fh:
-                json.dump(sidecar, fh, indent=2)
-                fh.write("\n")
+            _write_file(args.out + ".meta.json", _json_text(sidecar))
     else:
         payload = {"columns": list(RateCurve.HEADER),
                    "rows": [[None if isinstance(v, float) and math.isnan(v) else v
@@ -153,9 +171,7 @@ def cmd_sweep(args) -> int:
         if args.out is None:
             _print_json(payload)
         else:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            _write_file(args.out, _json_text(payload))
     return EXIT_OK
 
 
@@ -224,8 +240,7 @@ def cmd_field(args) -> int:
     }
     # keep stdout parseable when the table goes there too
     out = sys.stdout if args.out is not None else sys.stderr
-    json.dump(report, out, indent=2)
-    out.write("\n")
+    out.write(_json_text(report))
     return EXIT_OK
 
 
@@ -236,9 +251,7 @@ def cmd_validate(args) -> int:
     report = validation.run_all(seed=args.seed, progress=progress)
     print(report.render_text().splitlines()[-1])
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_file(args.out, _json_text(report.to_dict()))
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -298,8 +311,15 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, EXIT_USAGE)
+    except (TruncationError, QuadratureError) as exc:
+        return _fail(exc, EXIT_QUALITY)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    # one line, whatever the message (quadrature warnings span several)
+    print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+    return code
 
 
 def run() -> None:

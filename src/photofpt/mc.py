@@ -9,11 +9,18 @@ sphere |E| = e_m.
 Every path draws from its own counter-derived Philox substream, so results
 are a pure function of (config, seed): any path subset, evaluation order or
 worker layout reproduces the single-threaded ensemble bit for bit.
+
+One chunked kernel walks every path. It draws each chunk of a path's
+normals once and feeds every leg that reads them: the dt and dt/2 legs of
+a Richardson pair scale the same normals by their own sigma*sqrt(dt) and
+drift, and the sphere and the cube are tested on the same positions.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -26,6 +33,18 @@ _BOUNDARIES = ("interval", "cube", "sphere")
 # ext = C_FINE*m(dt/2) - C_COARSE*m(dt)
 C_FINE = math.sqrt(2.0) / (math.sqrt(2.0) - 1.0)
 C_COARSE = 1.0 / (math.sqrt(2.0) - 1.0)
+
+# Chunk size of the Euler kernel. A path of about mu steps cut into chunks
+# of k steps pays the per-chunk numpy calls about mu/k times and draws about
+# k/2 steps past its exit; k = sqrt(2*c*mu), with c the per-chunk cost in
+# steps, minimises the sum. c is _CHUNK_COST normals, so _CHUNK_COST/dim
+# steps, and mu is the exit-time scale over the smallest dt: the smaller of
+# the driftless mean exit from the inscribed ball, e_m**2/(dim*sigma**2),
+# and the drift time e_m/i_s. No chunk is shorter than _MIN_CHUNK steps.
+# Hit steps do not depend on the chunk size; only the normals drawn past the
+# exit do.
+_CHUNK_COST = 500
+_MIN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -150,82 +169,120 @@ class EventStream:
         return np.diff(np.concatenate(([0.0], np.asarray(self.event_times))))
 
 
-def _stream(seed: int, index: int) -> Generator:
-    # substream index lives in the top counter word; a path would have to
-    # consume 2**192 blocks to collide with its neighbor
-    return Generator(Philox(key=seed, counter=[0, 0, 0, index]))
+def _walks(config: MCConfig, dts: tuple[float, ...],
+           boundaries: tuple[str, ...] | None = None) -> Iterator[list[float]]:
+    """Hit times of paths 0, 1, 2, ...: one per (dt, boundary) pair, dt-major,
+    nan where the leg reached its step cap first.
+
+    Path i resets one generator to Philox substream i. Each chunk of normals
+    is drawn once: normal k drives step k of the leg at every dt, and every
+    boundary is tested on that leg's positions.
+    """
+    p = config.params
+    boundaries = boundaries or (config.boundary,)
+    legs = [(p.sigma * math.sqrt(dt), p.i_s * dt, config.steps_cap(dt)) for dt in dts]
+    longest = max(cap for *_, cap in legs)
+    t_ref = p.time_scale / config.dimension
+    if p.i_s > 0:
+        t_ref = min(t_ref, p.e_m / p.i_s)
+    mu = t_ref / min(dts)
+    chunk = math.ceil(math.sqrt(2.0 * _CHUNK_COST / config.dimension * mu))
+    chunk = max(_MIN_CHUNK, min(longest, chunk))
+    spheres = [b == "sphere" for b in boundaries]
+    substream = _substreams(config.seed)
+    for index in itertools.count():
+        hits = _walk(substream(index), p.e_m, config.dimension, legs, spheres, chunk, longest)
+        yield [s * dt if s else math.nan for dt, leg in zip(dts, hits) for s in leg]
 
 
-def _first_chunk(params: DetectorParams, dt: float, cap: int) -> int:
-    t_ref = params.time_scale
-    if params.i_s > 0:
-        t_ref = min(t_ref, params.e_m / params.i_s)
-    return max(256, min(cap, int(math.ceil(0.75 * t_ref / dt))))
+def _substreams(seed: int) -> Callable[[int], Generator]:
+    """index -> Generator(Philox(key=seed, counter=[0, 0, 0, index])), one
+    generator reset to that state each time, which is cheaper than building
+    one per path. The index lives in the top counter word; a path would have
+    to consume 2**192 blocks to collide with its neighbour."""
+    bitgen = Philox(key=seed)
+    fresh = bitgen.state  # counter [0, 0, 0, 0], empty buffer
+    rng = Generator(bitgen)
+
+    def reset(index: int) -> Generator:
+        fresh["state"]["counter"][3] = index
+        bitgen.state = fresh
+        return rng
+    return reset
 
 
-def _path_time_1d(rng: Generator, em: float, sig_step: float, drift_step: float,
-                  dt: float, cap: int, chunk: int) -> float:
+def _walk(rng: Generator, em: float, dim: int, legs: list[tuple[float, float, int]],
+          spheres: list[bool], chunk: int, longest: int) -> list[list[int]]:
+    """Hit step per boundary of every leg on one path, 0 where censored.
+
+    Positions are one running sum from the origin: each chunk's carry is
+    folded into its first increment, so hit steps do not depend on chunking.
+    """
+    hits = [[0] * len(spheres) for _ in legs]
+    carry = [None] * len(legs)
+    live = list(range(len(legs)))
     done = 0
-    carry = 0.0
-    while done < cap:
-        m = min(chunk, cap - done)
-        pos = carry + np.cumsum(rng.standard_normal(m) * sig_step + drift_step)
-        hit = np.abs(pos) >= em
-        idx = int(np.argmax(hit))
-        if hit[idx]:
-            return (done + idx + 1) * dt
+    while live:
+        m = min(chunk, longest - done)
+        # normals 3k..3k+2 drive step k in 3D; one contiguous row per axis
+        z = np.ascontiguousarray(rng.standard_normal((m, dim)).T)
+        for j in live[:]:
+            sig_step, drift_step, cap = legs[j]
+            n = min(m, cap - done)
+            pos = z[:, :n] * sig_step
+            if drift_step:
+                pos[-1] += drift_step
+            if done:
+                pos[:, 0] += carry[j]
+            np.add.accumulate(pos, axis=1, out=pos)
+            leg = hits[j]
+            for b, sphere in enumerate(spheres):
+                if not leg[b]:
+                    i = _first_exit(pos, em, sphere)
+                    if i < n:
+                        leg[b] = done + i + 1
+            if all(leg) or done + n == cap:
+                live.remove(j)
+            else:
+                carry[j] = pos[:, -1]
         done += m
-        carry = float(pos[-1])
-        chunk = min(2 * chunk, cap)
-    return math.nan
+    return hits
 
 
-def _path_time_3d(rng: Generator, em: float, sig_step: float, drift_step: float,
-                  dt: float, cap: int, chunk: int, sphere: bool) -> float:
-    em2 = em * em
-    done = 0
-    carry = np.zeros(3)
-    while done < cap:
-        m = min(chunk, cap - done)
-        steps = rng.standard_normal((m, 3)) * sig_step
-        steps[:, 2] += drift_step
-        pos = carry + np.cumsum(steps, axis=0)
-        if sphere:
-            hit = (pos * pos).sum(axis=1) >= em2
-        else:
-            hit = (np.abs(pos) >= em).any(axis=1)
-        idx = int(np.argmax(hit))
-        if hit[idx]:
-            return (done + idx + 1) * dt
-        done += m
-        carry = pos[-1].copy()
-        chunk = min(2 * chunk, cap)
-    return math.nan
+def _first_exit(pos: np.ndarray, em: float, sphere: bool) -> int:
+    """First column of pos (axes x steps) on or beyond the boundary, or the
+    column count when there is none: |E| >= e_m for the sphere, any
+    |E_i| >= e_m for the interval and the cube."""
+    if sphere:
+        hit = (pos * pos).sum(axis=0) >= em * em
+    elif len(pos) == 1:
+        hit = np.abs(pos[0]) >= em
+    else:
+        hit = (np.abs(pos) >= em).any(axis=0)
+    i = int(hit.argmax())
+    return i if hit[i] else pos.shape[1]
+
+
+def _sample(config: MCConfig, dts: tuple[float, ...],
+            boundaries: tuple[str, ...] | None = None) -> np.ndarray:
+    """(n_paths, len(dts) * len(boundaries)) array of _walks rows."""
+    return np.array(list(itertools.islice(_walks(config, dts, boundaries), config.n_paths)))
 
 
 def _sample_times(config: MCConfig, dt: float) -> np.ndarray:
     """Absorption time per path (nan where censored at max_time)."""
-    p = config.params
-    sig_step = p.sigma * math.sqrt(dt)
-    drift_step = p.i_s * dt
-    cap = config.steps_cap(dt)
-    chunk = _first_chunk(p, dt, cap)
-    out = np.empty(config.n_paths)
-    sphere = config.boundary == "sphere"
-    for path in range(config.n_paths):
-        rng = _stream(config.seed, path)
-        if config.dimension == 1:
-            out[path] = _path_time_1d(rng, p.e_m, sig_step, drift_step, dt, cap, chunk)
-        else:
-            out[path] = _path_time_3d(rng, p.e_m, sig_step, drift_step, dt, cap, chunk, sphere)
-    return out
+    return _sample(config, (dt,))[:, 0]
+
+
+def _estimate(times: np.ndarray, dt: float) -> FPTEstimate:
+    """Moments of the absorbed paths; a nan time marks a censored path."""
+    censored = np.isnan(times)
+    return FPTEstimate.from_samples(times[~censored], int(censored.sum()), dt)
 
 
 def simulate_fpt(config: MCConfig) -> FPTEstimate:
     """Estimate the mean first-passage time at the configured step size."""
-    times = _sample_times(config, config.dt)
-    alive = np.isnan(times)
-    return FPTEstimate.from_samples(times[~alive], int(alive.sum()), config.dt)
+    return _estimate(_sample_times(config, config.dt), config.dt)
 
 
 def simulate_fpt_richardson(config: MCConfig) -> RichardsonFPT:
@@ -234,19 +291,14 @@ def simulate_fpt_richardson(config: MCConfig) -> RichardsonFPT:
 
     The shared streams correlate the two legs path by path, so the
     extrapolated standard error comes from the per-path combination
-    C_FINE*t_fine - C_COARSE*t_coarse rather than from independent errors.
+    C_FINE*t_fine - C_COARSE*t_coarse rather than from independent errors;
+    a path censored on either leg is censored in the combination.
     """
-    coarse_t = _sample_times(config, config.dt)
-    fine_t = _sample_times(config, config.dt / 2.0)
-    paired = ~(np.isnan(coarse_t) | np.isnan(fine_t))
-    combo = C_FINE * fine_t[paired] - C_COARSE * coarse_t[paired]
-
-    coarse = FPTEstimate.from_samples(coarse_t[~np.isnan(coarse_t)],
-                                      int(np.isnan(coarse_t).sum()), config.dt)
-    fine = FPTEstimate.from_samples(fine_t[~np.isnan(fine_t)],
-                                    int(np.isnan(fine_t).sum()), config.dt / 2.0)
-    extrapolated = FPTEstimate.from_samples(combo, int((~paired).sum()), config.dt)
-    return RichardsonFPT(coarse=coarse, fine=fine, extrapolated=extrapolated)
+    coarse_t, fine_t = _sample(config, (config.dt, config.dt / 2.0)).T
+    return RichardsonFPT(
+        coarse=_estimate(coarse_t, config.dt),
+        fine=_estimate(fine_t, config.dt / 2.0),
+        extrapolated=_estimate(C_FINE * fine_t - C_COARSE * coarse_t, config.dt))
 
 
 def simulate_fpt_sphere_vs_cube(params: DetectorParams, base: MCConfig) -> SphereCubeComparison:
@@ -254,52 +306,13 @@ def simulate_fpt_sphere_vs_cube(params: DetectorParams, base: MCConfig) -> Spher
 
     The inscribed sphere |E| = e_m lies inside the cube |E_i| = e_m, so on a
     common path the sphere absorbs no later; both hit conditions are checked
-    on identical increments, making the comparison exactly paired.
+    on identical positions, making the comparison exactly paired.
     """
     if base.dimension != 3:
         raise ValueError("sphere/cube comparison requires a 3D base config")
-    p = params
-    dt = base.dt
-    sig_step = p.sigma * math.sqrt(dt)
-    drift_step = p.i_s * dt
-    cap = base.steps_cap(dt)
-    first = _first_chunk(p, dt, cap)
-    em = p.e_m
-    em2 = em * em
-
-    t_sphere = np.full(base.n_paths, math.nan)
-    t_cube = np.full(base.n_paths, math.nan)
-    for path in range(base.n_paths):
-        rng = _stream(base.seed, path)
-        done = 0
-        carry = np.zeros(3)
-        chunk = first
-        got_sphere = False
-        while done < cap:
-            m = min(chunk, cap - done)
-            steps = rng.standard_normal((m, 3)) * sig_step
-            steps[:, 2] += drift_step
-            pos = carry + np.cumsum(steps, axis=0)
-            if not got_sphere:
-                hit_s = (pos * pos).sum(axis=1) >= em2
-                idx = int(np.argmax(hit_s))
-                if hit_s[idx]:
-                    t_sphere[path] = (done + idx + 1) * dt
-                    got_sphere = True
-            hit_c = (np.abs(pos) >= em).any(axis=1)
-            idx = int(np.argmax(hit_c))
-            if hit_c[idx]:
-                t_cube[path] = (done + idx + 1) * dt
-                break
-            done += m
-            carry = pos[-1].copy()
-            chunk = min(2 * chunk, cap)
-
-    sphere_est = FPTEstimate.from_samples(t_sphere[~np.isnan(t_sphere)],
-                                          int(np.isnan(t_sphere).sum()), dt)
-    cube_est = FPTEstimate.from_samples(t_cube[~np.isnan(t_cube)],
-                                        int(np.isnan(t_cube).sum()), dt)
-
+    t_sphere, t_cube = _sample(replace(base, params=params), (base.dt,), ("sphere", "cube")).T
+    sphere_est = _estimate(t_sphere, base.dt)
+    cube_est = _estimate(t_cube, base.dt)
     paired = ~(np.isnan(t_sphere) | np.isnan(t_cube))
     ts = t_sphere[paired]
     tc = t_cube[paired]
@@ -326,24 +339,9 @@ def simulate_event_stream(config: MCConfig, horizon: float) -> EventStream:
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    p = config.params
-    dt = config.dt
-    sig_step = p.sigma * math.sqrt(dt)
-    drift_step = p.i_s * dt
-    cap = config.steps_cap(dt)
-    chunk = _first_chunk(p, dt, cap)
-    sphere = config.boundary == "sphere"
-
     events: list[float] = []
     clock = 0.0
-    index = 0
-    while True:
-        rng = _stream(config.seed, index)
-        index += 1
-        if config.dimension == 1:
-            t = _path_time_1d(rng, p.e_m, sig_step, drift_step, dt, cap, chunk)
-        else:
-            t = _path_time_3d(rng, p.e_m, sig_step, drift_step, dt, cap, chunk, sphere)
+    for t, in _walks(config, (config.dt,)):
         clock += config.max_time if math.isnan(t) else t
         if clock > horizon:
             break

@@ -5,6 +5,7 @@ dimensionless intensity i_s*e_m/sigma**2 that controls every rate curve.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -43,6 +44,9 @@ class DetectorParams:
     cross_section: float = 1.0
 
     def __post_init__(self):
+        for name in ("e_m", "sigma", "i_s", "cross_section"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.e_m > 0:
             raise ValueError(f"e_m must be > 0, got {self.e_m}")
         if not self.sigma > 0:
@@ -51,6 +55,13 @@ class DetectorParams:
             raise ValueError(f"i_s must be >= 0, got {self.i_s}")
         if not self.cross_section > 0:
             raise ValueError(f"cross_section must be > 0, got {self.cross_section}")
+        try:
+            ts = self.time_scale
+        except (OverflowError, ZeroDivisionError):
+            ts = math.inf
+        if not 0 < ts < math.inf:
+            raise ValueError(f"e_m**2/sigma**2 must be a positive finite number, got {ts} "
+                             f"for e_m={self.e_m}, sigma={self.sigma}")
 
     @property
     def time_scale(self) -> float:

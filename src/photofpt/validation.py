@@ -126,6 +126,10 @@ class CheckResult:
     detail: str = ""
     elapsed_s: float = 0.0
 
+    def __post_init__(self):
+        # checks compute their verdicts with numpy; the report must stay JSON
+        self.passed = bool(self.passed)
+
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return (f"[{self.cid:2d}] {verdict}  {self.name}: observed {self.observed}"

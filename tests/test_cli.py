@@ -6,11 +6,23 @@ spawning subprocesses.
 import csv
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
-from photofpt import mean_fpt_3d, params_for_intensity, rate_1d, rate_3d
-from photofpt.cli import EXIT_OK, EXIT_USAGE, main
+from photofpt import (
+    QuadratureError,
+    TruncationError,
+    analytic,
+    field,
+    mean_fpt_3d,
+    params_for_intensity,
+    rate_1d,
+    rate_3d,
+    validation,
+)
+from photofpt.cli import EXIT_OK, EXIT_QUALITY, EXIT_USAGE, main
 from photofpt.validation import CRITERIA, CheckResult, ValidationReport, run_check
 
 UNIT3_RATE = rate_3d(params_for_intensity(0.0))
@@ -57,6 +69,84 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "mc", "--dt", "0.02", "--paths", "200")[0] == EXIT_USAGE
     assert run_cli(capsys, "sweep", "--points", "0")[0] == EXIT_USAGE
     assert run_cli(capsys, "sweep", "--grid", "log", "--x-min", "0")[0] == EXIT_USAGE
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("rate", "--is", "nan"),
+    ("rate", "--is", "inf"),
+    ("rate", "--em", "nan"),
+    ("rate", "--sigma", "inf"),
+    ("rate", "--cross-section", "nan"),
+    ("rate", "--em", "1e-200"),      # e_m**2/sigma**2 underflows to 0
+    ("rate", "--sigma", "1e-200"),   # sigma**2 underflows to 0
+    ("rate", "--em", "1e200"),       # e_m**2 overflows
+    ("mc", "--is", "nan", "--paths", "100"),
+])
+def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert _one_error_line(err), err
+
+
+@pytest.mark.parametrize("module, name, error, argv", [
+    (analytic, "mean_fpt_3d", TruncationError("double-series tail 1e-3 exceeds tolerance"),
+     ("rate",)),
+    (field, "sigma_const", QuadratureError("quad: the maximum number of subdivisions\n"
+                                           "  has been achieved"),
+     ("field", "--points", "2")),
+])
+def test_series_and_quadrature_errors_exit_3(monkeypatch, capsys, module, name, error, argv):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(module, name, fail)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_QUALITY
+    assert _one_error_line(err), err
+
+
+def _report(**overrides) -> ValidationReport:
+    check = dict(cid=12, name="renewal", expected="|z| <= 3", observed="max |z| = 1.00",
+                 tolerance="3 standard errors", passed=np.float64(1.0) <= 3.0,
+                 source="renewal identity")
+    check.update(overrides)
+    return ValidationReport(checks=[CheckResult(**check)], seed=1)
+
+
+def test_validate_out_serialises_numpy_verdicts(tmp_path, monkeypatch, capsys):
+    report = _report()
+    assert type(report.checks[0].passed) is bool
+    monkeypatch.setattr(validation, "run_all", lambda seed, progress: report)
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "validate", "--out", str(path))
+    assert code == EXIT_OK
+    assert json.loads(path.read_text())["checks"][0]["passed"] is True
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_out_file_is_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("previous\n")
+    # a value JSON cannot hold: refused before any file is touched
+    monkeypatch.setattr(validation, "run_all",
+                        lambda seed, progress: _report(elapsed_s=math.nan))
+    code, _, err = run_cli(capsys, "validate", "--out", str(path))
+    assert code == EXIT_USAGE and _one_error_line(err)
+    assert path.read_text() == "previous\n"
+    # a rename that fails: the temporary file goes, the old file stays
+    monkeypatch.setattr(validation, "run_all", lambda seed, progress: _report())
+
+    def no_rename(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(os, "replace", no_rename)
+    code, _, err = run_cli(capsys, "validate", "--out", str(path))
+    assert code == EXIT_USAGE and _one_error_line(err)
+    assert path.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -3,15 +3,19 @@ the closed forms. Seeds are fixed; every assertion that involves noise keeps
 a three-standard-error margin or tests an ordering that holds at that seed.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from photofpt import (
     DetectorParams,
     EventStream,
     FPTEstimate,
     MCConfig,
+    RichardsonFPT,
+    mc,
     mean_fpt_1d,
     mean_fpt_3d,
     params_for_intensity,
@@ -21,7 +25,7 @@ from photofpt import (
     simulate_fpt_sphere_vs_cube,
     zscore,
 )
-from photofpt.mc import C_COARSE, C_FINE, _sample_times
+from photofpt.mc import C_COARSE, C_FINE, _sample, _sample_times, _substreams
 from photofpt.validation import radial_mean_exit_time
 
 UNIT = DetectorParams(e_m=1.0, sigma=1.0)
@@ -241,3 +245,105 @@ def test_drift_speeds_up_every_path():
     t_dark = _sample_times(dark, 1e-3)
     t_lit = _sample_times(lit, 1e-3)
     assert np.all(t_lit <= t_dark)
+
+
+# ---------------------------------------------------------------------------
+# the shared-draw Euler kernel
+
+def _config(x, boundary, dt=1e-2, n_paths=100, seed=3, max_time=None):
+    cfg = MCConfig(params=params_for_intensity(x), dt=dt, n_paths=n_paths, seed=seed,
+                   dimension=1 if boundary == "interval" else 3, boundary=boundary)
+    if max_time is not None:
+        # below the validated minimum, so that paths get censored
+        object.__setattr__(cfg, "max_time", max_time)
+    return cfg
+
+
+def test_substream_reset_matches_fresh_generator():
+    substream = _substreams(99)
+    for index in (5, 0, 2 ** 40):
+        rng = substream(3)
+        rng.standard_normal(7)                 # partly consumed Philox block
+        rng.random(dtype=np.float32)           # and a buffered 32-bit half
+        fresh = Generator(Philox(key=99, counter=[0, 0, 0, index]))
+        assert np.array_equal(substream(index).standard_normal(1001),
+                              fresh.standard_normal(1001))
+
+
+@pytest.mark.parametrize("config, dts, boundaries", [
+    (_config(2.0, "interval"), (1e-2, 5e-3), None),
+    (_config(0.0, "cube"), (1e-2, 5e-3), None),
+    (_config(1.0, "cube"), (1e-2,), ("sphere", "cube")),
+    (_config(0.0, "interval", max_time=0.3), (1e-2, 5e-3), None),
+    (_config(0.0, "sphere", max_time=0.2), (1e-2, 5e-3), None),
+], ids=["rich1d", "rich_cube", "sphere_vs_cube", "censored_1d", "censored_sphere"])
+def test_hit_times_do_not_depend_on_chunk_schedule(monkeypatch, config, dts, boundaries):
+    default = _sample(config, dts, boundaries)
+    monkeypatch.setattr(mc, "_MIN_CHUNK", 3)
+    monkeypatch.setattr(mc, "_CHUNK_COST", 0.0)    # 3 steps per chunk
+    tiny = _sample(config, dts, boundaries)
+    monkeypatch.setattr(mc, "_CHUNK_COST", 1e12)   # the whole step cap in one chunk
+    whole = _sample(config, dts, boundaries)
+    assert np.array_equal(default, tiny, equal_nan=True)
+    assert np.array_equal(default, whole, equal_nan=True)
+    if config.max_time < 1.0:
+        assert np.isnan(default).any() and not np.isnan(default).all()
+
+
+@pytest.mark.parametrize("boundary", ["interval", "cube", "sphere"])
+def test_richardson_legs_are_single_leg_samples(boundary):
+    cfg = _config(1.0, boundary, n_paths=200, seed=4)
+    legs = _sample(cfg, (cfg.dt, cfg.dt / 2.0))
+    assert np.array_equal(legs[:, 0], _sample_times(cfg, cfg.dt))
+    assert np.array_equal(legs[:, 1], _sample_times(cfg, cfg.dt / 2.0))
+    rich = simulate_fpt_richardson(cfg)
+    assert rich.coarse == simulate_fpt(cfg)
+    assert rich.fine == simulate_fpt(replace(cfg, dt=cfg.dt / 2.0))
+
+
+def test_sphere_vs_cube_times_are_each_boundary_alone():
+    base = _config(2.0, "cube", n_paths=200, seed=6)
+    sphere = replace(base, boundary="sphere")
+    both = _sample(base, (base.dt,), ("sphere", "cube"))
+    assert np.array_equal(both[:, 0], _sample_times(sphere, base.dt))
+    assert np.array_equal(both[:, 1], _sample_times(base, base.dt))
+    comp = simulate_fpt_sphere_vs_cube(base.params, base)
+    assert comp.sphere == simulate_fpt(sphere)
+    assert comp.cube == simulate_fpt(base)
+
+
+def _est(mean, std_err, n_absorbed, n_censored, dt_used):
+    return FPTEstimate(mean=mean, std_err=std_err, n_absorbed=n_absorbed,
+                       n_censored=n_censored, dt_used=dt_used)
+
+
+# Estimates computed by the earlier implementation, which walked every leg
+# and boundary on its own substream pass; the shared-draw kernel must
+# reproduce them exactly.
+def test_pinned_richardson_estimates():
+    assert simulate_fpt_richardson(_config(2.0, "interval", n_paths=300, seed=11)) == RichardsonFPT(
+        coarse=_est(0.47930000000000006, 0.01547333917404691, 300, 0, 0.01),
+        fine=_est(0.48028333333333334, 0.01707110218259868, 300, 0, 0.005),
+        extrapolated=_est(0.48265731000300016, 0.0470063045598808, 300, 0, 0.01))
+    assert simulate_fpt_richardson(_config(0.0, "sphere", n_paths=200, seed=12)) == RichardsonFPT(
+        coarse=_est(0.35814999999999997, 0.014935552926022867, 200, 0, 0.01),
+        fine=_est(0.38292499999999996, 0.017951087840246373, 200, 0, 0.005),
+        extrapolated=_est(0.44273714100779343, 0.057474927917328535, 200, 0, 0.01))
+    # paths of 5000 to 10000 steps, several chunks each
+    assert simulate_fpt_richardson(_config(0.0, "cube", dt=1e-4, seed=6)) == RichardsonFPT(
+        coarse=_est(0.5034730000000001, 0.039272186777063046, 100, 0, 1e-4),
+        fine=_est(0.45773350000000007, 0.028687775025023527, 100, 0, 5e-5),
+        extrapolated=_est(0.34730857876383586, 0.07958223139684278, 100, 0, 1e-4))
+    censored = _config(0.0, "interval", dt=1e-3, n_paths=300, seed=14, max_time=1.0)
+    assert simulate_fpt_richardson(censored) == RichardsonFPT(
+        coarse=_est(0.49960119047619045, 0.018698570069940145, 168, 132, 1e-3),
+        fine=_est(0.5439608938547486, 0.01931693281126968, 179, 121, 5e-4),
+        extrapolated=_est(0.37504233095852224, 0.07023154182758293, 126, 174, 1e-3))
+
+
+def test_pinned_sphere_vs_cube_estimates():
+    base = _config(2.0, "cube", n_paths=200, seed=13)
+    comp = simulate_fpt_sphere_vs_cube(base.params, base)
+    assert comp.sphere == _est(0.32435, 0.012525467022055625, 200, 0, 0.01)
+    assert comp.cube == _est(0.40340000000000004, 0.014313686039598641, 200, 0, 0.01)
+    assert (comp.ratio, comp.ratio_err) == (0.8040406544372831, 0.016515733644097714)

@@ -38,6 +38,14 @@ def test_time_scale_units():
     dict(e_m=1.0, sigma=1.0, i_s=-0.5),
     dict(e_m=1.0, sigma=1.0, cross_section=0.0),
     dict(e_m=math.nan, sigma=1.0),
+    dict(e_m=1.0, sigma=math.inf),
+    dict(e_m=1.0, sigma=1.0, i_s=math.nan),
+    dict(e_m=1.0, sigma=1.0, i_s=math.inf),
+    dict(e_m=1.0, sigma=1.0, cross_section=math.inf),
+    dict(e_m=1e-200, sigma=1.0),   # time scale underflows to 0
+    dict(e_m=1.0, sigma=1e-200),   # sigma**2 underflows to 0
+    dict(e_m=1e200, sigma=1.0),    # e_m**2 overflows
+    dict(e_m=1e160, sigma=1e-160),  # time scale overflows
 ])
 def test_rejects_bad_detector_values(kwargs):
     with pytest.raises(ValueError):
