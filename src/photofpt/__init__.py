@@ -6,103 +6,15 @@ The package provides exact series for the interval and cube boundaries,
 Monte Carlo simulation for all boundaries including the sphere, the
 vacuum-field correlation behind the noise amplitude, and a validation
 suite tying them together.
+
+The package namespace carries the names of the README quick start; every
+other name is imported from its submodule: params, analytic, mc, field,
+validation or cli.
 """
 
 __version__ = "0.1.0"
 
-from .params import (
-    DEFAULT_SEED,
-    AtomModel,
-    DetectorParams,
-    QuadratureError,
-    QuantumDetectorParams,
-    SeriesControl,
-    SurvivalFactors,
-    TruncationError,
-    dimensionless_intensity,
-    params_for_intensity,
-)
-from .analytic import (
-    axis_survival_image,
-    axis_survival_spectral,
-    dark_fraction,
-    f3_series,
-    mean_fpt_1d,
-    mean_fpt_3d,
-    quantum_rate,
-    rate_1d,
-    rate_1d_asymptotic,
-    rate_3d,
-    survival_3d,
-)
-from .field import (
-    CorrelationSample,
-    FormFactor,
-    SigmaEstimate,
-    correlation_table,
-    form_factor,
-    g_tau,
-    g_tau_large,
-    g_tau_small,
-    moment_integral,
-    moment_integral_exact,
-    sigma_const,
-)
-from .mc import (
-    EventStream,
-    FPTEstimate,
-    MCConfig,
-    RichardsonFPT,
-    SphereCubeComparison,
-    simulate_event_stream,
-    simulate_fpt,
-    simulate_fpt_richardson,
-    simulate_fpt_sphere_vs_cube,
-    zscore,
-)
-
-__all__ = [
-    "DEFAULT_SEED",
-    "AtomModel",
-    "DetectorParams",
-    "QuadratureError",
-    "QuantumDetectorParams",
-    "SeriesControl",
-    "SurvivalFactors",
-    "TruncationError",
-    "dimensionless_intensity",
-    "params_for_intensity",
-    "axis_survival_image",
-    "axis_survival_spectral",
-    "dark_fraction",
-    "f3_series",
-    "mean_fpt_1d",
-    "mean_fpt_3d",
-    "quantum_rate",
-    "rate_1d",
-    "rate_1d_asymptotic",
-    "rate_3d",
-    "survival_3d",
-    "CorrelationSample",
-    "FormFactor",
-    "SigmaEstimate",
-    "correlation_table",
-    "form_factor",
-    "g_tau",
-    "g_tau_large",
-    "g_tau_small",
-    "moment_integral",
-    "moment_integral_exact",
-    "sigma_const",
-    "EventStream",
-    "FPTEstimate",
-    "MCConfig",
-    "RichardsonFPT",
-    "SphereCubeComparison",
-    "simulate_event_stream",
-    "simulate_fpt",
-    "simulate_fpt_richardson",
-    "simulate_fpt_sphere_vs_cube",
-    "zscore",
-    "__version__",
-]
+from .params import DEFAULT_SEED, AtomModel, DetectorParams
+from .analytic import mean_fpt_1d, rate_1d, rate_3d
+from .field import sigma_const
+from .mc import MCConfig, simulate_fpt_richardson, zscore

@@ -21,14 +21,12 @@ from .params import (
     DetectorParams,
     QuantumDetectorParams,
     SeriesControl,
-    SurvivalFactors,
     TruncationError,
     dimensionless_intensity,
     params_for_intensity,
 )
 
 _SMALL_X = 1e-4
-_LN2 = math.log(2.0)
 
 
 def _tanh_over_x(x: float) -> float:
@@ -48,10 +46,17 @@ def mean_fpt_1d(params: DetectorParams) -> float:
     return params.time_scale * _tanh_over_x(dimensionless_intensity(params))
 
 
+def _rate(params: DetectorParams, mean: float) -> float:
+    # a mean that underflows to 0 has no finite reciprocal
+    if not 0 < mean < math.inf:
+        raise ValueError(f"mean first-passage time {mean} is not a positive finite number")
+    return params.cross_section / mean
+
+
 def rate_1d(params: DetectorParams) -> float:
     """1D detection rate, the exact reciprocal of mean_fpt_1d times the
     cross section. rate_1d * mean_fpt_1d == cross_section to round-off."""
-    return params.cross_section / mean_fpt_1d(params)
+    return _rate(params, mean_fpt_1d(params))
 
 
 def rate_1d_asymptotic(params: DetectorParams, regime: str) -> float:
@@ -68,23 +73,25 @@ def rate_1d_asymptotic(params: DetectorParams, regime: str) -> float:
     raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
 
 
-def _accelerated_alternating_sum(signed_terms: np.ndarray) -> tuple[float, float]:
-    """Sum an alternating series by iterated averaging of its partial sums.
+def _accelerated_alternating_sum(signed_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum alternating series along the last axis by iterated averaging of
+    their partial sums.
 
-    Works on the cumulative-sum sequence, halving its length by pairwise
+    Works on the cumulative-sum sequence, shortening it by one per pairwise
     averaging until two entries remain; their mean is the accelerated value
     and half their gap estimates the remaining truncation error. For
     alternating series with smoothly decreasing terms this converges far
-    below the first-omitted-term bound of the plain partial sum.
+    below the first-omitted-term bound of the plain partial sum. Returns
+    (values, error estimates), one per series.
     """
-    s = np.cumsum(np.asarray(signed_terms, dtype=float))
-    if s.size == 1:
+    s = np.cumsum(np.asarray(signed_terms, dtype=float), axis=-1)
+    if s.shape[-1] == 1:
         # no acceleration possible; the single term is also the only
         # available scale for the unknown tail
-        return float(s[0]), abs(float(s[0]))
-    while s.size > 2:
-        s = 0.5 * (s[1:] + s[:-1])
-    return float(0.5 * (s[0] + s[1])), float(0.5 * abs(s[1] - s[0]))
+        return s[..., 0], np.abs(s[..., 0])
+    while s.shape[-1] > 2:
+        s = 0.5 * (s[..., 1:] + s[..., :-1])
+    return 0.5 * (s[..., 0] + s[..., 1]), 0.5 * np.abs(s[..., 1] - s[..., 0])
 
 
 def axis_survival_image(t: float, drift: float, params: DetectorParams,
@@ -129,16 +136,13 @@ def axis_survival_image(t: float, drift: float, params: DetectorParams,
 
 
 def axis_survival_spectral(t: float, params: DetectorParams,
-                           ctrl: SeriesControl | None = None,
-                           drift: float = 0.0) -> float:
+                           ctrl: SeriesControl | None = None) -> float:
     """Driftless-axis survival by the absorbing-interval eigenfunction series.
 
     K(t) = (4/pi) sum_k (-1)^k/(2k+1) exp(-(2k+1)^2 pi^2 sigma^2 t / (8 e_m^2)),
     Euler-accelerated so the slowly alternating small-t regime still meets
     tolerance at the default truncation.
     """
-    if drift != 0.0:
-        raise ValueError("spectral survival factor exists for driftless axes only")
     ctrl = ctrl or SeriesControl()
     if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")
@@ -146,7 +150,7 @@ def axis_survival_spectral(t: float, params: DetectorParams,
     odd = 2.0 * k + 1.0
     decay = np.exp(-odd ** 2 * math.pi ** 2 * params.sigma ** 2 * t / (8.0 * params.e_m ** 2))
     signed = (4.0 / math.pi) * np.where(k % 2 == 0, 1.0, -1.0) / odd * decay
-    value, residual = _accelerated_alternating_sum(signed)
+    value, residual = map(float, _accelerated_alternating_sum(signed))
     if residual > ctrl.tolerance_for(value):
         raise TruncationError(
             f"spectral tail estimate {residual:.3e} exceeds tolerance at kl_max={ctrl.kl_max}")
@@ -154,18 +158,12 @@ def axis_survival_spectral(t: float, params: DetectorParams,
 
 
 def survival_3d(t: float, params: DetectorParams,
-                ctrl: SeriesControl | None = None) -> SurvivalFactors:
-    """Cube survival factors at time t: K for each driftless axis (image form
-    at drift 0) and L for the drift axis; survival = K**2 * L."""
+                ctrl: SeriesControl | None = None) -> float:
+    """Cube survival probability at time t, K**2 * L: K is the factor of each
+    driftless axis (image form at drift 0), L that of the drift axis."""
     k_fac = axis_survival_image(t, 0.0, params, ctrl)
     l_fac = axis_survival_image(t, params.i_s, params, ctrl)
-    return SurvivalFactors(l_axis=l_fac, k_axis=k_fac, t=t)
-
-
-def _log_cosh(z: np.ndarray) -> np.ndarray:
-    # log(cosh z) for z >= 0 without overflowing cosh itself
-    z = np.asarray(z, dtype=float)
-    return z + np.log1p(np.exp(-2.0 * z)) - _LN2
+    return k_fac ** 2 * l_fac
 
 
 def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
@@ -174,8 +172,11 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     F(x) = sum_{k,l>=0} (-1)^(k+l) G_kl(x) / (S_kl (2k+1)(2l+1)) with
     S_kl = (2k+1)^2 + (2l+1)^2 and
     G_kl(x) = 1 - cosh(x)/cosh(sqrt(x^2 + pi^2 S_kl / 4)),
-    evaluated per (k, l) term; the cosh ratio is formed in log space so large
-    x and large indices cannot overflow. Rows are summed over l with Euler
+    evaluated per (k, l) term. The cosh ratio is formed in log space, with
+    log cosh x - log cosh y = -c/(x + y) + log1p(e^-2x) - log1p(e^-2y) and
+    c = pi^2 S_kl / 4: large x and large indices cannot overflow, and the
+    small gap y - x is never found by subtracting y from x, which would lose
+    it to rounding once x^2 dwarfs c. Rows are summed over l with Euler
     acceleration, then the alternating row sums are accelerated over k; the
     acceleration residual is the reported tail estimate.
     """
@@ -186,23 +187,20 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     ok = odd[:, None]
     ol = odd[None, :]
     s = ok ** 2 + ol ** 2
-    y = np.sqrt(x * x + 0.25 * math.pi ** 2 * s)
-    g = -np.expm1(_log_cosh(np.float64(x)) - _log_cosh(y))
+    c = 0.25 * math.pi ** 2 * s
+    if x * x < math.inf:
+        y = np.sqrt(x * x + c)
+        gap = c / (x + y)
+    else:
+        # y = x to double precision once x*x overflows
+        y = x
+        gap = 0.5 * c / x
+    g = -np.expm1(np.log1p(np.exp(-2.0 * x)) - np.log1p(np.exp(-2.0 * y)) - gap)
     mag = g / (s * ok * ol)
 
-    inner = np.where(np.arange(ctrl.kl_max)[None, :] % 2 == 0, mag, -mag)
-    rows = np.cumsum(inner, axis=1)
-    if rows.shape[1] == 1:
-        row_val = rows[:, 0]
-        row_res = np.abs(row_val)
-    else:
-        while rows.shape[1] > 2:
-            rows = 0.5 * (rows[:, 1:] + rows[:, :-1])
-        row_val = 0.5 * (rows[:, 0] + rows[:, 1])
-        row_res = 0.5 * np.abs(rows[:, 1] - rows[:, 0])
-
-    outer = np.where(np.arange(ctrl.kl_max) % 2 == 0, row_val, -row_val)
-    value, outer_res = _accelerated_alternating_sum(outer)
+    even = np.arange(ctrl.kl_max) % 2 == 0
+    row_val, row_res = _accelerated_alternating_sum(np.where(even, mag, -mag))
+    value, outer_res = map(float, _accelerated_alternating_sum(np.where(even, row_val, -row_val)))
     tail = outer_res + float(row_res.max())
     if tail > ctrl.tolerance_for(value):
         raise TruncationError(
@@ -219,7 +217,7 @@ def mean_fpt_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> fl
 
 def rate_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> float:
     """Cube-model detection rate, cross_section / mean_fpt_3d."""
-    return params.cross_section / mean_fpt_3d(params, ctrl)
+    return _rate(params, mean_fpt_3d(params, ctrl))
 
 
 def dark_fraction(x: float, dimension: int = 1,

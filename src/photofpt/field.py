@@ -18,36 +18,11 @@ from .params import AtomModel, QuadratureError, SeriesControl
 
 _PREF = 2.0 / (3.0 * math.pi)
 G0 = 1.0 / (18.0 * math.pi)
-# stationary-phase point of the correlation integrand x^3/(x^2+1)^4
-KERNEL_PEAK = math.sqrt(3.0 / 5.0)
-FORM_FACTOR_PEAK = 1.0 / math.sqrt(3.0)
 
 # reference figures quoted elsewhere for the natural-unit noise amplitude;
 # kept for reporting, not used in any computation
 REPORTED_SIGMA_CONSTANT = 2.12e-4
 REPORTED_SIGMA_ORDER = 1e-3
-
-
-@dataclass(frozen=True)
-class CorrelationSample:
-    """One evaluated lag of the correlation function, natural units."""
-    tau: float
-    g: float
-
-
-@dataclass(frozen=True)
-class FormFactor:
-    """Frequency form factor value/(1/a) at dimensionless frequency x."""
-    x: float
-    value: float
-
-
-def form_factor(x: float) -> float:
-    """x / (4 pi (x^2+1)^2), the frequency weight of the exponential
-    density; vanishes at 0 and infinity with its maximum at 1/sqrt(3)."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return x / (4.0 * math.pi * (x * x + 1.0) ** 2)
 
 
 def _kernel(x: float) -> float:
@@ -104,10 +79,6 @@ def g_tau_large(tau: float) -> float:
         raise ValueError(f"tau must be > 0, got {tau}")
     return (25.0 / 512.0) * math.sqrt(0.3) * math.exp(-2.0 * math.sqrt(2.0) * tau / 5.0) \
         * math.cos(math.sqrt(0.6) * tau)
-
-
-def correlation_table(taus, ctrl: SeriesControl | None = None) -> list[CorrelationSample]:
-    return [CorrelationSample(tau=float(t), g=g_tau(float(t), ctrl)) for t in taus]
 
 
 def moment_integral_exact() -> float:

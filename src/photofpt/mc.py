@@ -72,6 +72,11 @@ class MCConfig:
         if self.dt > 0.01 * ts * (1.0 + 1e-12):
             raise ValueError(
                 f"dt={self.dt:g} too coarse; need dt <= 0.01*e_m**2/sigma**2 = {0.01 * ts:g}")
+        # at least 20 coarse steps per drift time e_m/i_s
+        if self.dt * self.params.i_s / self.params.e_m > 0.05:
+            raise ValueError(
+                f"dt={self.dt:g} too coarse for the drift; need dt <= 0.05*e_m/i_s = "
+                f"{0.05 * self.params.e_m / self.params.i_s:g}")
         if self.n_paths < 100:
             raise ValueError(f"n_paths must be >= 100, got {self.n_paths}")
         if not 0 <= int(self.seed) < 2 ** 64:

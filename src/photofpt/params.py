@@ -62,6 +62,10 @@ class DetectorParams:
         if not 0 < ts < math.inf:
             raise ValueError(f"e_m**2/sigma**2 must be a positive finite number, got {ts} "
                              f"for e_m={self.e_m}, sigma={self.sigma}")
+        x = dimensionless_intensity(self)
+        if not math.isfinite(x):
+            raise ValueError(f"i_s*e_m/sigma**2 must be finite, got {x} for i_s={self.i_s}, "
+                             f"e_m={self.e_m}, sigma={self.sigma}")
 
     @property
     def time_scale(self) -> float:
@@ -119,23 +123,6 @@ class SeriesControl:
 
 
 @dataclass(frozen=True)
-class SurvivalFactors:
-    """Per-axis survival factors of the 3D cube problem at one time.
-
-    l_axis is the drift-axis factor, k_axis the factor of each of the two
-    driftless axes; the 3D survival probability is k_axis**2 * l_axis.
-    """
-
-    l_axis: float
-    k_axis: float
-    t: float
-
-    @property
-    def survival(self) -> float:
-        return self.k_axis ** 2 * self.l_axis
-
-
-@dataclass(frozen=True)
 class QuantumDetectorParams:
     """Idealized linear detector: rate = eta * k_const * i_s."""
 
@@ -159,8 +146,11 @@ class QuantumDetectorParams:
 class AtomModel:
     """Exponential effective atomic density, natural units by default.
 
-    density(r) = exp(-r/a) / (8 pi a**3), normalized so that
-    the full-space integral of density * 4 pi r**2 equals 1.
+    The absorber is smeared over a density that falls off as exp(-r/a)
+    from its centre and integrates to one over all space; a is the decay
+    length. Its Fourier transform is 1/(1 + (k a)**2)**2, and the
+    field module's correlation kernel x**3/(x**2 + 1)**4 is the vacuum
+    spectrum x**3 weighted by that transform squared.
     """
 
     a: float = 1.0
@@ -170,10 +160,6 @@ class AtomModel:
     def __post_init__(self):
         if not (self.a > 0 and self.hbar > 0 and self.c > 0):
             raise ValueError("a, hbar, c must all be > 0")
-
-    def density(self, r):
-        import numpy as np
-        return np.exp(-np.asarray(r) / self.a) / (8.0 * np.pi * self.a ** 3)
 
     @property
     def sigma_unit(self) -> float:

@@ -101,7 +101,7 @@ def mean_fpt_quadrature(params: DetectorParams, ctrl: SeriesControl | None,
             return analytic.axis_survival_image(t, params.i_s, params, ctrl)
     elif dimension == 3:
         def surv(t: float) -> float:
-            return analytic.survival_3d(t, params, ctrl).survival
+            return analytic.survival_3d(t, params, ctrl)
     else:
         raise ValueError(f"dimension must be 1 or 3, got {dimension}")
     hi = params.time_scale
@@ -114,10 +114,11 @@ def mean_fpt_quadrature(params: DetectorParams, ctrl: SeriesControl | None,
 # ---------------------------------------------------------------------------
 # report plumbing
 
-@dataclass
+@dataclass(kw_only=True)
 class CheckResult:
-    cid: int
-    name: str
+    # a check reports what it found; run_check adds its number, name and time
+    cid: int = 0
+    name: str = ""
     expected: str
     observed: str
     tolerance: str
@@ -178,7 +179,6 @@ def check_01_interval_mc(seed: int) -> CheckResult:
         zs.append((x, mc.zscore(analytic.mean_fpt_1d(params), rich.extrapolated)))
     worst = max(abs(z) for _, z in zs)
     return CheckResult(
-        cid=1, name="1D closed form vs simulation",
         expected="|z| <= 3 at x in {0, 0.5, 1, 2, 5}",
         observed=f"max |z| = {worst:.2f}",
         tolerance="3 standard errors", passed=worst <= 3.0,
@@ -197,7 +197,6 @@ def check_02_cube_mc(seed: int) -> CheckResult:
         zs.append((x, mc.zscore(analytic.mean_fpt_3d(params), rich.extrapolated)))
     worst = max(abs(z) for _, z in zs)
     return CheckResult(
-        cid=2, name="3D cube series vs simulation",
         expected="|z| <= 3 at x in {0, 1, 3}",
         observed=f"max |z| = {worst:.2f}",
         tolerance="3 standard errors", passed=worst <= 3.0,
@@ -211,7 +210,6 @@ def check_03_dark_3d_constants(seed: int) -> CheckResult:
     rate = analytic.rate_3d(params)
     ok = abs(mean - 0.49) <= 0.005 and abs(rate - 2.0) <= 0.02
     return CheckResult(
-        cid=3, name="zero-intensity 3D mean and rate",
         expected="mean 0.490 +- 0.005, rate 2.00 +- 0.02 (units e_m^2/sigma^2 and its inverse)",
         observed=f"mean {mean:.6f}, rate {rate:.6f}",
         tolerance="+-0.005 / +-0.02", passed=ok,
@@ -227,7 +225,6 @@ def check_04_asymptote(seed: int) -> CheckResult:
     e500 = abs(500.0 * analytic.f3_series(500.0, SeriesControl(kl_max=160)) * scale - 1.0)
     ok = e50 < 0.01 and e500 < 0.001
     return CheckResult(
-        cid=4, name="large-x series asymptote",
         expected="x F(x) -> pi^4/128: rel err < 1% at x=50, < 0.1% at x=500",
         observed=f"rel err {e50:.2e} at x=50, {e500:.2e} at x=500",
         tolerance="1% / 0.1%", passed=ok,
@@ -243,7 +240,6 @@ def check_05_high_rate(seed: int) -> CheckResult:
         worst = max(worst, abs(analytic.rate_1d(params) / (params.i_s / params.e_m)
                                - (1.0 + 2.0 * math.exp(-2.0 * x))))
     return CheckResult(
-        cid=5, name="high-intensity 1D rate expansion",
         expected="|rate/(i_s/e_m) - (1 + 2 exp(-2x))| < 1e-6 for x >= 8",
         observed=f"max deviation {worst:.2e}",
         tolerance="1e-6", passed=worst < 1e-6,
@@ -254,7 +250,6 @@ def check_06_dark_threshold(seed: int) -> CheckResult:
     val = analytic.dark_fraction(1.5, dimension=1)
     ok = 0.10 < val < 0.11
     return CheckResult(
-        cid=6, name="10% excess at x = 1.5",
         expected="coth(1.5) - 1 in (0.10, 0.11)",
         observed=f"{val:.6f}",
         tolerance="open interval (0.10, 0.11)", passed=ok,
@@ -276,7 +271,6 @@ def check_07_representations(seed: int) -> CheckResult:
     worst_ident = max(rel for _, _, rel in idents)
     ok = gap < 1e-10 and worst_ident < 1e-3
     return CheckResult(
-        cid=7, name="survival representations and mean identity",
         expected="image/spectral gap < 1e-10 on t in [0.05, 10]; mean = integral of survival to rel 1e-3",
         observed=f"max gap {gap:.2e}; worst identity rel err {worst_ident:.2e}",
         tolerance="1e-10 / 1e-3", passed=ok,
@@ -294,7 +288,6 @@ def check_08_pde(seed: int) -> CheckResult:
         diffs.append((x, abs(pde - img)))
     worst = max(d for _, d in diffs)
     return CheckResult(
-        cid=8, name="finite-difference solver pins the 1D survival",
         expected="|pde - image| < 1e-5 at x in {0, 2}, t = 0.5 e_m^2/sigma^2",
         observed=f"max |diff| = {worst:.2e}",
         tolerance="1e-5", passed=worst < 1e-5,
@@ -328,7 +321,6 @@ def check_09_field_correlation(seed: int) -> CheckResult:
 
     ok = d0 < 1e-8 and abs(curv + 1.0) < 0.01 and freq_ok and env_ok
     return CheckResult(
-        cid=9, name="correlation value, curvature and tail shape",
         expected="g(0) = 1/(18 pi) +- 1e-8; curvature -1 +- 1%; tail frequency "
                  "sqrt(3/5) +- 1% and log-envelope slope -2 sqrt(2)/5 +- 2%",
         observed=f"g(0) diff {d0:.1e}; curvature {curv:+.4f}; {freq_txt}; "
@@ -346,7 +338,6 @@ def check_10_moment(seed: int) -> CheckResult:
     quad_val, exact = field.moment_integral()
     diff = abs(quad_val - exact)
     return CheckResult(
-        cid=10, name="spectral moment dual evaluation",
         expected=f"5 pi / 4096 = {5.0 * math.pi / 4096.0:.12e}",
         observed=f"quadrature {quad_val:.12e}, closed form {exact:.12e}",
         tolerance="1e-10", passed=diff < 1e-10,
@@ -356,7 +347,6 @@ def check_10_moment(seed: int) -> CheckResult:
 def check_11_sigma(seed: int) -> CheckResult:
     est = field.sigma_const(AtomModel())
     return CheckResult(
-        cid=11, name="noise amplitude dual routes",
         expected="time-domain and Parseval routes agree to 1e-6 relative",
         observed=f"sigma = {est.sigma_time:.6e} (time) vs {est.sigma_freq:.6e} "
                  f"(Parseval), rel diff {est.rel_disagreement:.1e}",
@@ -378,7 +368,6 @@ def check_12_renewal(seed: int) -> CheckResult:
         zs.append((x, (stream.rate - 1.0 / mean_ref) / se_rate))
     worst = max(abs(z) for _, z in zs)
     return CheckResult(
-        cid=12, name="event-stream rate equals inverse mean",
         expected="|z| <= 3 at x in {0, 2}, horizon 1e4 mean interarrivals",
         observed=f"max |z| = {worst:.2f}",
         tolerance="3 standard errors", passed=worst <= 3.0,
@@ -408,7 +397,6 @@ def check_13_sphere_cube(seed: int) -> CheckResult:
 
     ok = mean_ok and pathwise_ok and abs(z) <= 3.0
     return CheckResult(
-        cid=13, name="sphere vs cube boundaries",
         expected="sphere mean <= cube mean at every tested x; driftless sphere matches "
                  "the radial solver within 3 standard errors",
         observed=f"pathwise ordering {'held' if pathwise_ok else 'VIOLATED'}; "
@@ -437,11 +425,12 @@ CRITERIA: tuple[tuple[int, str, object], ...] = (
 
 
 def run_check(cid: int, seed: int = DEFAULT_SEED) -> CheckResult:
-    for num, _, fn in CRITERIA:
+    for num, name, fn in CRITERIA:
         if num == cid:
             start = time.perf_counter()
             result = fn(seed)
             result.elapsed_s = time.perf_counter() - start
+            result.cid, result.name = num, name
             return result
     raise ValueError(f"no check numbered {cid}")
 

@@ -25,7 +25,10 @@ import numpy as np
 import pytest
 from oracles import DARK_MEAN_3D, DARK_RATE_3D, g_panel_quadrature
 
-from photofpt import DEFAULT_SEED, g_tau, mean_fpt_3d, params_for_intensity, rate_3d
+from photofpt import DEFAULT_SEED
+from photofpt.analytic import mean_fpt_3d, rate_3d
+from photofpt.field import g_tau
+from photofpt.params import params_for_intensity
 from photofpt.validation import CRITERIA, run_check
 
 IDS = [f"{cid:02d}_{name.replace(' ', '_')}" for cid, name, _ in CRITERIA]

@@ -13,18 +13,13 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import DARK_MEAN_3D, DARK_RATE_3D, f3_mpmath
 
-from photofpt import (
-    DetectorParams,
-    QuantumDetectorParams,
-    SeriesControl,
-    TruncationError,
+from photofpt.analytic import (
     axis_survival_image,
     axis_survival_spectral,
     dark_fraction,
     f3_series,
     mean_fpt_1d,
     mean_fpt_3d,
-    params_for_intensity,
     quantum_rate,
     rate_1d,
     rate_1d_asymptotic,
@@ -32,6 +27,13 @@ from photofpt import (
     survival_3d,
 )
 from photofpt.mc import MCConfig, _sample_times
+from photofpt.params import (
+    DetectorParams,
+    QuantumDetectorParams,
+    SeriesControl,
+    TruncationError,
+    params_for_intensity,
+)
 from photofpt.validation import mean_fpt_quadrature, pde_survival_1d
 
 UNIT = DetectorParams(e_m=1.0, sigma=1.0)
@@ -134,11 +136,6 @@ def test_spectral_truncation_guard():
         axis_survival_spectral(0.5, UNIT, SeriesControl(kl_max=1))
 
 
-def test_spectral_rejects_drift():
-    with pytest.raises(ValueError):
-        axis_survival_spectral(1.0, UNIT, drift=0.5)
-
-
 def test_survival_requires_positive_time():
     with pytest.raises(ValueError):
         axis_survival_image(0.0, 0.0, UNIT)
@@ -157,13 +154,13 @@ def test_spectral_long_time_leading_term():
 
 
 def test_survival_3d_factors():
-    dark = survival_3d(0.4, UNIT)
-    assert dark.k_axis == dark.l_axis  # no drift: all axes identical
-    assert dark.survival == dark.k_axis ** 2 * dark.l_axis
-
-    lit = survival_3d(0.4, params_for_intensity(1.0))
-    assert lit.l_axis < lit.k_axis  # drift kills the third axis faster
-    assert lit.t == 0.4
+    lit = params_for_intensity(1.0)
+    k_axis = axis_survival_image(0.4, 0.0, lit)
+    l_axis = axis_survival_image(0.4, lit.i_s, lit)
+    # no drift: the third axis has the factor of the other two
+    assert axis_survival_image(0.4, UNIT.i_s, UNIT) == axis_survival_image(0.4, 0.0, UNIT)
+    assert l_axis < k_axis  # drift kills the third axis faster
+    assert survival_3d(0.4, lit) == k_axis ** 2 * l_axis
 
 
 def test_survival_3d_against_path_fraction():
@@ -175,7 +172,7 @@ def test_survival_3d_against_path_fraction():
     times = _sample_times(cfg, cfg.dt)
     alive = np.isnan(times) | (times > t)
     frac = alive.mean()
-    ref = survival_3d(t, p).survival
+    ref = survival_3d(t, p)
     se = math.sqrt(ref * (1.0 - ref) / cfg.n_paths)
     assert abs(frac - ref) < 3.0 * se
 
@@ -194,6 +191,13 @@ def test_double_series_matches_independent_resummation(x):
 def test_double_series_large_argument():
     ctrl = SeriesControl(kl_max=120, rel_tol=1e-6)
     assert f3_series(50.0, ctrl) == pytest.approx(f3_mpmath(50.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("x", [1e4, 1e6, 1e10, 1e100, 1e300])
+def test_double_series_asymptote_holds_at_huge_x(x):
+    """x F(x) -> pi^4/128; the gap between the cosh arguments must not be
+    lost to rounding once x^2 dwarfs the eigenvalue term."""
+    assert x * f3_series(x) * 128.0 / math.pi ** 4 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_double_series_rejects_negative():

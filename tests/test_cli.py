@@ -11,18 +11,10 @@ import os
 import numpy as np
 import pytest
 
-from photofpt import (
-    QuadratureError,
-    TruncationError,
-    analytic,
-    field,
-    mean_fpt_3d,
-    params_for_intensity,
-    rate_1d,
-    rate_3d,
-    validation,
-)
+from photofpt import analytic, field, validation
+from photofpt.analytic import mean_fpt_3d, rate_1d, rate_3d
 from photofpt.cli import EXIT_OK, EXIT_QUALITY, EXIT_USAGE, main
+from photofpt.params import QuadratureError, TruncationError, params_for_intensity
 from photofpt.validation import CRITERIA, CheckResult, ValidationReport, run_check
 
 UNIT3_RATE = rate_3d(params_for_intensity(0.0))
@@ -85,6 +77,9 @@ def _one_error_line(err: str) -> bool:
     ("rate", "--sigma", "1e-200"),   # sigma**2 underflows to 0
     ("rate", "--em", "1e200"),       # e_m**2 overflows
     ("mc", "--is", "nan", "--paths", "100"),
+    ("rate", "--is", "1e300", "--em", "1e10"),   # i_s*e_m/sigma**2 overflows
+    ("rate", "--em", "1e-100", "--is", "1e300"),  # the mean underflows to 0
+    ("mc", "--is", "1e9", "--paths", "100"),     # dt above 0.05 e_m/i_s
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

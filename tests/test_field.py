@@ -9,12 +9,8 @@ import math
 import pytest
 from oracles import g_panel_quadrature
 
-from photofpt import (
-    AtomModel,
-    CorrelationSample,
-    SeriesControl,
-    correlation_table,
-    form_factor,
+from photofpt.field import (
+    G0,
     g_tau,
     g_tau_large,
     g_tau_small,
@@ -22,7 +18,7 @@ from photofpt import (
     moment_integral_exact,
     sigma_const,
 )
-from photofpt.field import FORM_FACTOR_PEAK, G0, KERNEL_PEAK
+from photofpt.params import AtomModel, SeriesControl
 
 
 def test_zero_lag_value():
@@ -69,39 +65,11 @@ def test_large_lag_form_envelope():
         math.exp(-2.0 * math.sqrt(2.0) * period / 5.0), rel=1e-12)
 
 
-def test_kernel_peak_location():
-    def kernel(x):
-        return x ** 3 / (x * x + 1.0) ** 4
-
-    assert KERNEL_PEAK == pytest.approx(math.sqrt(0.6), rel=1e-15)
-    assert kernel(KERNEL_PEAK) > kernel(KERNEL_PEAK - 1e-3)
-    assert kernel(KERNEL_PEAK) > kernel(KERNEL_PEAK + 1e-3)
-
-
-def test_form_factor_shape():
-    assert FORM_FACTOR_PEAK == pytest.approx(3.0 ** -0.5, rel=1e-15)
-    assert form_factor(FORM_FACTOR_PEAK) > form_factor(FORM_FACTOR_PEAK - 1e-3)
-    assert form_factor(FORM_FACTOR_PEAK) > form_factor(FORM_FACTOR_PEAK + 1e-3)
-    assert form_factor(0.0) == 0.0
-    assert form_factor(1.0) == pytest.approx(1.0 / (16.0 * math.pi), rel=1e-15)
-    assert form_factor(1e6) < 1e-17
-    with pytest.raises(ValueError):
-        form_factor(-1.0)
-
-
 def test_moment_dual_evaluation():
     by_quad, closed = moment_integral()
     assert abs(by_quad - closed) < 1e-10
     assert closed == pytest.approx(5.0 * math.pi / 4096.0, rel=1e-14)
     assert moment_integral_exact() == closed
-
-
-def test_correlation_table():
-    table = correlation_table([0.0, 0.25, 1.0])
-    assert [s.tau for s in table] == [0.0, 0.25, 1.0]
-    assert all(isinstance(s, CorrelationSample) for s in table)
-    assert table[0].g == pytest.approx(G0, abs=1e-12)
-    assert table[2].g == g_tau(1.0)
 
 
 @pytest.fixture(scope="module")

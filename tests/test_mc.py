@@ -9,23 +9,25 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from photofpt import (
-    DetectorParams,
+from photofpt import mc
+from photofpt.analytic import mean_fpt_1d, mean_fpt_3d
+from photofpt.mc import (
+    C_COARSE,
+    C_FINE,
     EventStream,
     FPTEstimate,
     MCConfig,
     RichardsonFPT,
-    mc,
-    mean_fpt_1d,
-    mean_fpt_3d,
-    params_for_intensity,
+    _sample,
+    _sample_times,
+    _substreams,
     simulate_event_stream,
     simulate_fpt,
     simulate_fpt_richardson,
     simulate_fpt_sphere_vs_cube,
     zscore,
 )
-from photofpt.mc import C_COARSE, C_FINE, _sample, _sample_times, _substreams
+from photofpt.params import DetectorParams, params_for_intensity
 from photofpt.validation import radial_mean_exit_time
 
 UNIT = DetectorParams(e_m=1.0, sigma=1.0)
@@ -189,6 +191,7 @@ def test_zscore_behaviour(richardson_unit_seed7):
     dict(seed=2 ** 64),
     dict(seed=-1),
     dict(max_time=50.0),                 # below 100 * time scale
+    dict(params=params_for_intensity(11.0)),  # dt above 0.05 * e_m/i_s
 ])
 def test_config_validation(kwargs):
     base = dict(params=UNIT, dt=5e-3, n_paths=200, seed=1)
@@ -200,6 +203,8 @@ def test_config_validation(kwargs):
 def test_config_defaults():
     cfg = MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1)
     assert cfg.max_time == 100.0
+    # 20 coarse steps per drift time is the coarsest step allowed
+    MCConfig(params=params_for_intensity(10.0), dt=5e-3, n_paths=200, seed=1)
     assert cfg.steps_cap(5e-3) == 20000
     scaled = MCConfig(params=DetectorParams(e_m=2.0, sigma=1.0), dt=0.04,
                       n_paths=200, seed=1)

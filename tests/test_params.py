@@ -1,18 +1,15 @@
 import math
 from dataclasses import FrozenInstanceError
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.integrate import quad
 
-from photofpt import (
+from photofpt.params import (
     DEFAULT_SEED,
     AtomModel,
     DetectorParams,
     QuantumDetectorParams,
     SeriesControl,
-    SurvivalFactors,
     dimensionless_intensity,
     params_for_intensity,
 )
@@ -46,6 +43,7 @@ def test_time_scale_units():
     dict(e_m=1.0, sigma=1e-200),   # sigma**2 underflows to 0
     dict(e_m=1e200, sigma=1.0),    # e_m**2 overflows
     dict(e_m=1e160, sigma=1e-160),  # time scale overflows
+    dict(e_m=1e10, sigma=1.0, i_s=1e300),  # i_s*e_m/sigma**2 overflows
 ])
 def test_rejects_bad_detector_values(kwargs):
     with pytest.raises(ValueError):
@@ -92,12 +90,6 @@ def test_series_control_validation(kwargs):
         SeriesControl(**kwargs)
 
 
-def test_survival_factor_product():
-    f = SurvivalFactors(l_axis=0.5, k_axis=0.3, t=1.0)
-    assert f.survival == pytest.approx(0.3 ** 2 * 0.5, rel=1e-15)
-    assert f.t == 1.0
-
-
 def test_quantum_threshold_equivalent():
     q = QuantumDetectorParams(eta=0.5, k_const=2.0)
     assert q.threshold_equivalent == 1.0
@@ -108,14 +100,6 @@ def test_quantum_threshold_equivalent():
 def test_quantum_params_validation(eta, k):
     with pytest.raises(ValueError):
         QuantumDetectorParams(eta=eta, k_const=k)
-
-
-@pytest.mark.parametrize("a", [1.0, 2.5])
-def test_atom_density_normalized(a):
-    """exp(-r/a)/(8 pi a^3) integrates to 1 against 4 pi r^2 dr."""
-    atom = AtomModel(a=a)
-    total, _ = quad(lambda r: atom.density(r) * 4.0 * math.pi * r * r, 0.0, np.inf)
-    assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_sigma_unit_scaling():
