@@ -226,15 +226,18 @@ def dark_fraction(x: float, dimension: int = 1,
 
     Returns rate*e_m/i_s - 1 at unit cross section for the interval
     (dimension 1) or cube (dimension 3) model. Diverges as x -> 0 even
-    though the dark rate itself stays finite, so x = 0 is rejected.
+    though the dark rate itself stays finite, so x = 0 is rejected. The
+    interval excess, coth x - 1, is formed without cancellation.
     """
     if not x > 0:
         raise ValueError(f"the excess fraction diverges as x -> 0; need x > 0, got {x}")
     if dimension not in (1, 3):
         raise ValueError(f"dimension must be 1 or 3, got {dimension}")
+    if dimension == 1:
+        # not 2/expm1(2x): math.expm1 raises OverflowError from x ~ 355
+        return 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
     params = params_for_intensity(float(x))
-    rate = rate_1d(params) if dimension == 1 else rate_3d(params, ctrl)
-    return rate * params.e_m / params.i_s - 1.0
+    return rate_3d(params, ctrl) * params.e_m / params.i_s - 1.0
 
 
 def quantum_rate(i_s: float, q: QuantumDetectorParams) -> float:

@@ -144,6 +144,8 @@ def build_rate_curve(e_m: float, sigma: float, cross_section: float,
 def _grid(args) -> np.ndarray:
     if args.points < 1:
         raise ValueError("--points must be >= 1")
+    if not (math.isfinite(args.x_min) and math.isfinite(args.x_max)):
+        raise ValueError("--x-min and --x-max must be finite")
     if args.x_max < args.x_min:
         raise ValueError("--x-max must be >= --x-min")
     if args.points == 1:
@@ -219,13 +221,12 @@ def cmd_mc(args) -> int:
 
 
 def cmd_field(args) -> int:
-    ctrl = SeriesControl()
     taus = _grid(args)
-    rows = [(t, field.g_tau(t, ctrl), field.g_tau_small(t),
+    rows = [(t, field.g_tau(t), field.g_tau_small(t),
              field.g_tau_large(t) if t > 0 else math.nan) for t in taus]
     _write_csv(args.out, ("tau", "g", "g_small", "g_large"), rows)
 
-    est = field.sigma_const(AtomModel(), ctrl)
+    est = field.sigma_const(AtomModel())
     report = {
         "sigma_natural_time_domain": est.sigma_time,
         "sigma_natural_frequency_domain": est.sigma_freq,

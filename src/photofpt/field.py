@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta as _beta
+from scipy.special import exp1, expi
 
 from .params import AtomModel, QuadratureError, SeriesControl
 
@@ -25,10 +26,6 @@ REPORTED_SIGMA_CONSTANT = 2.12e-4
 REPORTED_SIGMA_ORDER = 1e-3
 
 
-def _kernel(x: float) -> float:
-    return _PREF * x ** 3 / (x * x + 1.0) ** 4
-
-
 def _check_quad(result, what: str, ctrl: SeriesControl, value: float) -> None:
     if len(result) > 3:
         raise QuadratureError(f"{what}: {result[3]}")
@@ -37,27 +34,34 @@ def _check_quad(result, what: str, ctrl: SeriesControl, value: float) -> None:
             f"{what}: reported error {result[1]:.3e} exceeds tolerance")
 
 
-def g_tau(tau: float, ctrl: SeriesControl | None = None) -> float:
+def g_tau(tau: float) -> float:
     """Correlation value (2/3pi) int_0^inf x^3 cos(tau x)/(x^2+1)^4 dx.
 
-    Even in tau by the cosine kernel; only tau >= 0 is accepted. Small lags
-    use plain adaptive quadrature; from tau = 0.5 the cosine weight is
-    handed to the oscillatory (Fourier) integrator, which sums the
-    between-zeros panels with series acceleration internally.
+    Even in tau by the cosine kernel; only 0 <= tau < inf is accepted. Below
+    tau = 40 it is the closed form in exponential integrals (Gradshteyn-Ryzhik
+    3.723 differentiated in b). From there on, where the closed form's
+    exponentially large and small terms cancel to an algebraic tail, it is
+    the large-lag expansion (2/3pi) sum_{k>=1} (2k+1)! C(k+2,3) / tau^(2k+2),
+    summed to its smallest term (about k = tau/2).
     """
-    ctrl = ctrl or SeriesControl()
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    if tau < 0.5:
-        res = quad(lambda x: _kernel(x) * math.cos(tau * x), 0.0, np.inf,
-                   epsabs=ctrl.abs_tol, epsrel=ctrl.rel_tol, limit=200,
-                   full_output=True)
-    else:
-        res = quad(_kernel, 0.0, np.inf, weight="cos", wvar=tau,
-                   epsabs=ctrl.abs_tol, limlst=200, limit=200,
-                   full_output=True)
-    _check_quad(res, f"g_tau(tau={tau})", ctrl, res[0])
-    return float(res[0])
+    tau = float(tau)
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    if tau == 0.0:
+        return G0
+    if tau < 40.0:
+        t2 = tau * tau
+        t3 = t2 * tau
+        return float(_PREF * ((t3 / 96.0 - t2 / 32.0 - tau / 32.0) * math.exp(-tau) * expi(tau)
+                              + (t3 / 96.0 + t2 / 32.0 - tau / 32.0) * math.exp(tau) * exp1(tau)
+                              + 1.0 / 12.0 - t2 / 48.0))
+    # 1/tau^2 as (1/tau)^2, which underflows to 0 quietly where tau^2 overflows
+    inv2 = (1.0 / tau) ** 2
+    term = total = 6.0 * inv2 * inv2  # k = 1: 3! C(3,3) / tau^4
+    for k in range(1, min(30, int(tau // 2))):
+        term *= (2 * k + 2) * (2 * k + 3) * (k + 3) / k * inv2  # term k + 1
+        total += term
+    return _PREF * total
 
 
 def g_tau_small(tau: float) -> float:
@@ -145,19 +149,10 @@ def sigma_const(atom: AtomModel, ctrl: SeriesControl | None = None) -> SigmaEsti
     """
     ctrl = ctrl or SeriesControl()
 
-    def g_sq(tau: float) -> float:
-        v = g_tau(tau, ctrl)
-        return v * v
-
-    near = quad(g_sq, 0.0, 2.0, epsabs=ctrl.abs_tol, epsrel=ctrl.rel_tol,
-                limit=200, full_output=True)
-    _check_quad(near, "sigma_const near lag", ctrl, near[0])
-    # by tau = 200 the integrand has fallen below 1e-17 of the total
-    far = quad(g_sq, 2.0, 200.0, epsabs=ctrl.abs_tol, epsrel=ctrl.rel_tol,
-               limit=200, full_output=True)
-    _check_quad(far, "sigma_const far lag", ctrl, far[0])
-    g2_integral = float(near[0] + far[0])
-    sigma_sq_time = g2_integral / (4.0 * math.pi ** 2)
+    res = quad(lambda tau: g_tau(tau) ** 2, 0.0, np.inf, epsabs=ctrl.abs_tol,
+               epsrel=ctrl.rel_tol, limit=200, full_output=True)
+    _check_quad(res, "sigma_const time route", ctrl, res[0])
+    sigma_sq_time = float(res[0]) / (4.0 * math.pi ** 2)
 
     moment, _ = moment_integral(ctrl)
     sigma_sq_freq = (math.pi / 2.0) * _PREF ** 2 * moment / (4.0 * math.pi ** 2)

@@ -2,9 +2,11 @@
 
 These deliberately avoid the package's own algorithms: the double series is
 resummed with mpmath's alternating-series extrapolation at high working
-precision, and the lag correlation is integrated panel by panel between the
+precision, or split into a closed-form part and an exponentially convergent
+remainder; the lag correlation is integrated panel by panel between the
 zeros of the cosine, with the alternating panel tail accelerated by
-iterated averaging of raw partial sums.
+iterated averaging of raw partial sums, or by mpmath's oscillatory
+quadrature.
 """
 import math
 
@@ -33,6 +35,40 @@ def f3_mpmath(x: float, dps: int = 30) -> float:
 
         total = mp.nsum(lambda k: (-1) ** int(k) * row(int(k)), [0, mp.inf], method="a")
         return float(total)
+
+
+def f3_split(x: float, dps: int = 30) -> float:
+    """The double series split into a closed form and a fast remainder.
+
+    With o_k = 2k+1, S_kl = o_k^2 + o_l^2 and y_kl = sqrt(x^2 + pi^2 S_kl/4),
+    F(x) = pi^4/128 - (pi/4) sum_k (-1)^k sech(pi o_k/2)/o_k^3
+           - sum_{k,l} (-1)^(k+l) r_kl/(S_kl o_k o_l),  r_kl = cosh x/cosh y_kl.
+    The inner sums of the constant part follow from the partial fractions of
+    sech, sum_l (-1)^l/(o_l (o_l^2 + a^2)) = (pi/(4 a^2)) (1 - sech(pi a/2)).
+    r_kl falls off as e^-(y_kl - x), so both sums stop a priori once that
+    exponent passes the working precision.
+    """
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        cosh_x = mp.cosh(xm)
+        cut = (dps + 5) * mp.log(10)
+        # y_kl - x <= cut  <=>  S_kl <= s_max
+        s_max = 4 * ((xm + cut) ** 2 - xm * xm) / mp.pi ** 2
+        single = mp.mpf(0)
+        double = mp.mpf(0)
+        k = 0
+        while (2 * k + 1) ** 2 + 1 <= s_max:
+            ok = 2 * k + 1
+            single += (-1) ** k * mp.sech(mp.pi * ok / 2) / ok ** 3
+            l = 0
+            while ok * ok + (2 * l + 1) ** 2 <= s_max:
+                ol = 2 * l + 1
+                s = ok * ok + ol * ol
+                r = cosh_x / mp.cosh(mp.sqrt(xm * xm + mp.pi ** 2 * s / 4))
+                double += (-1) ** (k + l) * r / (s * ok * ol)
+                l += 1
+            k += 1
+        return float(mp.pi ** 4 / 128 - mp.pi / 4 * single - double)
 
 
 # Zero-intensity cube mean (128/pi^4) F(0), in units e_m^2/sigma^2, with F(0)
@@ -72,3 +108,15 @@ def g_panel_quadrature(tau: float, n_panels: int = 120) -> float:
     while partial.size > 1:
         partial = 0.5 * (partial[1:] + partial[:-1])
     return float(head + partial[0])
+
+
+def g_mpmath(tau: float, dps: int = 30) -> float:
+    """Correlation integral (2/3pi) int_0^inf x^3 cos(tau x)/(x^2+1)^4 dx by
+    mpmath's oscillatory quadrature, which sums the between-zeros integrals
+    with series extrapolation. Meant for lags of order one and above, where
+    a zero spacing pi/tau is short against the decay of the kernel."""
+    with mp.workdps(dps):
+        t = mp.mpf(tau)
+        pref = 2 / (3 * mp.pi)
+        return float(mp.quadosc(lambda x: pref * x ** 3 * mp.cos(t * x) / (x * x + 1) ** 4,
+                                [0, mp.inf], omega=t))

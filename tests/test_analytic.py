@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import DARK_MEAN_3D, DARK_RATE_3D, f3_mpmath
+from oracles import DARK_MEAN_3D, DARK_RATE_3D, f3_mpmath, f3_split
 
 from photofpt.analytic import (
     axis_survival_image,
@@ -179,18 +179,21 @@ def test_survival_3d_against_path_fraction():
 
 @pytest.mark.parametrize("x", [0.0, 2.0])
 def test_double_series_matches_independent_resummation(x):
-    ref = f3_mpmath(x)
+    ref = f3_split(x)
     assert abs(f3_series(x) - ref) < 1e-10
     if x == 0.0:
-        # the stored dark constants are this reference value and its inverse
-        dark_mean = 128.0 / math.pi ** 4 * ref
+        # the slow resummation pins the split oracle, and the stored dark
+        # constants are its value and inverse
+        slow = f3_mpmath(x)
+        assert ref == pytest.approx(slow, rel=1e-14)
+        dark_mean = 128.0 / math.pi ** 4 * slow
         assert DARK_MEAN_3D == pytest.approx(dark_mean, rel=1e-14)
         assert DARK_RATE_3D == pytest.approx(1.0 / dark_mean, rel=1e-14)
 
 
 def test_double_series_large_argument():
     ctrl = SeriesControl(kl_max=120, rel_tol=1e-6)
-    assert f3_series(50.0, ctrl) == pytest.approx(f3_mpmath(50.0), rel=1e-8)
+    assert f3_series(50.0, ctrl) == pytest.approx(f3_split(50.0), rel=1e-8)
 
 
 @pytest.mark.parametrize("x", [1e4, 1e6, 1e10, 1e100, 1e300])
@@ -271,6 +274,17 @@ def test_dark_fraction_values():
     # 1D excess is coth(x) - 1 at unit cross section
     assert dark_fraction(1.5) == pytest.approx(1.0 / math.tanh(1.5) - 1.0, rel=1e-13)
     assert dark_fraction(1.5, 3) == pytest.approx(0.7509369377849684, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.5, 10.0, 20.0, 50.0, 300.0])
+def test_dark_fraction_1d_keeps_relative_accuracy(x):
+    with mp.workdps(40):
+        ref = float(mp.coth(x) - 1)
+    assert dark_fraction(x) == pytest.approx(ref, rel=1e-14)
+
+
+def test_dark_fraction_1d_nonnegative_at_huge_x():
+    assert dark_fraction(1e300) >= 0.0
 
 
 def test_dark_fraction_rejects_bad_input():

@@ -3,13 +3,16 @@
 main() is driven directly so the tests see the real argparse wiring without
 spawning subprocesses.
 """
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from photofpt import analytic, field, validation
 from photofpt.analytic import mean_fpt_3d, rate_1d, rate_3d
@@ -80,12 +83,34 @@ def _one_error_line(err: str) -> bool:
     ("rate", "--is", "1e300", "--em", "1e10"),   # i_s*e_m/sigma**2 overflows
     ("rate", "--em", "1e-100", "--is", "1e300"),  # the mean underflows to 0
     ("mc", "--is", "1e9", "--paths", "100"),     # dt above 0.05 e_m/i_s
+    ("field", "--x-max", "inf", "--points", "3"),
+    ("field", "--x-min", "nan", "--points", "2"),
+    ("sweep", "--x-max", "inf", "--points", "3"),
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert _one_error_line(err), err
+
+
+@given(command=st.sampled_from(["field", "sweep"]), x_min=st.floats(), x_max=st.floats(),
+       points=st.integers(1, 20), grid=st.sampled_from(["lin", "log"]))
+def test_grid_flags_exit_0_or_2(command, x_min, x_max, points, grid):
+    """Any grid bounds, finite or not: a table with finite lags and
+    correlations, or exit 2 with one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, f"--x-min={x_min!r}", f"--x-max={x_max!r}",
+                     "--points", str(points), "--grid", grid])
+    if code != EXIT_OK:
+        assert code == EXIT_USAGE
+        assert _one_error_line(err.getvalue()), err.getvalue()
+    elif command == "field":
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        assert len(rows) == points
+        assert all(math.isfinite(float(r["tau"])) and math.isfinite(float(r["g"]))
+                   for r in rows)
 
 
 @pytest.mark.parametrize("module, name, error, argv", [

@@ -1,13 +1,16 @@
-"""Correlation function and noise amplitude against panel quadrature.
+"""Correlation function and noise amplitude against quadrature oracles.
 
-The oracle in tests/oracles.py integrates between the zeros of the cosine
-and accelerates the alternating panel sums itself, independent of the
-QUADPACK oscillatory weighting used by the package.
+The package evaluates g(tau) from its closed form in exponential integrals
+and, at large lags, from its asymptotic series. The oracles in
+tests/oracles.py integrate the defining Fourier integral instead: between
+the zeros of the cosine with their own panel-sum acceleration, or with
+mpmath's oscillatory quadrature at 30 digits.
 """
 import math
+import warnings
 
 import pytest
-from oracles import g_panel_quadrature
+from oracles import g_mpmath, g_panel_quadrature
 
 from photofpt.field import (
     G0,
@@ -18,7 +21,7 @@ from photofpt.field import (
     moment_integral_exact,
     sigma_const,
 )
-from photofpt.params import AtomModel, SeriesControl
+from photofpt.params import AtomModel
 
 
 def test_zero_lag_value():
@@ -33,8 +36,9 @@ def test_small_lag_form():
 
 
 def test_negative_lag_rejected():
-    with pytest.raises(ValueError):
-        g_tau(-0.1)
+    for tau in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            g_tau(tau)
     with pytest.raises(ValueError):
         g_tau_small(-1.0)
     with pytest.raises(ValueError):
@@ -46,9 +50,23 @@ def test_matches_panel_quadrature(tau):
     assert abs(g_tau(tau) - g_panel_quadrature(tau)) < 1e-9
 
 
+@pytest.mark.parametrize("tau", [20.0, 39.5, 40.0, 45.0, 100.0, 1000.0])
+def test_matches_mpmath_quadrature(tau):
+    assert g_tau(tau) == pytest.approx(g_mpmath(tau), rel=1e-8)
+
+
 def test_continuous_across_integrator_switch():
-    # plain quadrature below tau = 0.5, oscillatory weighting above
-    assert abs(g_tau(0.499) - g_tau(0.501)) < 5e-5
+    # the closed form just below tau = 40, the asymptotic series from there
+    below = g_tau(math.nextafter(40.0, 0.0))
+    assert g_tau(40.0) == pytest.approx(below, rel=1e-8)
+
+
+def test_algebraic_tail():
+    # leading term (2/3pi) 6/tau^4
+    assert g_tau(1e6) * 1e24 * math.pi / 4.0 == pytest.approx(1.0, abs=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g_tau(1e300) == 0.0
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
@@ -98,22 +116,19 @@ def test_sigma_units_and_reporting(default_sigma):
     assert "disagree" in est.note
 
 
-def test_explicit_control_is_honored():
-    ctrl = SeriesControl(abs_tol=1e-10, rel_tol=1e-8)
-    assert g_tau(1.0, ctrl) == pytest.approx(g_tau(1.0), rel=1e-7)
-
-
 @pytest.mark.xfail(strict=True,
                    reason="the quoted damped-cosine tail decays exponentially and "
-                          "oscillates, but direct quadrature gives an algebraic "
-                          "positive tail (~6/tau^4 times the kernel prefactor)")
+                          "oscillates, but the exact large-lag expansion has only "
+                          "positive terms: an algebraic tail, (2/3pi) 6/tau^4 to "
+                          "leading order")
 def test_quoted_large_lag_form_matches_quadrature():
     assert g_tau_large(20.0) == pytest.approx(g_tau(20.0), rel=0.05)
 
 
 @pytest.mark.xfail(strict=True,
                    reason="|g| exceeds the quoted exp(-tau/2) envelope once the "
-                          "algebraic tail dominates (tau beyond roughly 10)")
+                          "algebraic tail of the exact expansion dominates (tau "
+                          "beyond roughly 10)")
 def test_quoted_decay_envelope():
     for tau in (10.5, 12.0, 15.0):
         assert abs(g_tau(tau)) < G0 * math.exp(-tau / 2.0)
