@@ -50,7 +50,10 @@ def _rate(params: DetectorParams, mean: float) -> float:
     # a mean that underflows to 0 has no finite reciprocal
     if not 0 < mean < math.inf:
         raise ValueError(f"mean first-passage time {mean} is not a positive finite number")
-    return params.cross_section / mean
+    rate = params.cross_section / mean
+    if rate == math.inf:
+        raise ValueError(f"rate cross_section/mean = {params.cross_section:g}/{mean:g} overflows")
+    return rate
 
 
 def rate_1d(params: DetectorParams) -> float:
@@ -235,9 +238,14 @@ def dark_fraction(x: float, dimension: int = 1,
         raise ValueError(f"dimension must be 1 or 3, got {dimension}")
     if dimension == 1:
         # not 2/expm1(2x): math.expm1 raises OverflowError from x ~ 355
-        return 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
-    params = params_for_intensity(float(x))
-    return rate_3d(params, ctrl) * params.e_m / params.i_s - 1.0
+        value = 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
+    else:
+        params = params_for_intensity(float(x))
+        value = rate_3d(params, ctrl) * params.e_m / params.i_s - 1.0
+    # about 1/x, so it overflows for x below about 1e-308
+    if not math.isfinite(value):
+        raise ValueError(f"the excess fraction overflows at x = {x:g}")
+    return value
 
 
 def quantum_rate(i_s: float, q: QuantumDetectorParams) -> float:

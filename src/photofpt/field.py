@@ -66,9 +66,13 @@ def g_tau(tau: float) -> float:
 
 def g_tau_small(tau: float) -> float:
     """Quadratic small-lag approximation (1/18pi)(1 - tau^2)."""
+    tau = float(tau)  # a numpy lag would warn where it overflows
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    return G0 * (1.0 - tau * tau)
+    value = G0 * (1.0 - tau * tau)
+    if not math.isfinite(value):
+        raise ValueError(f"the small-lag approximation overflows at tau = {tau:g}")
+    return value
 
 
 def g_tau_large(tau: float) -> float:

@@ -3,8 +3,13 @@
 Euler-Maruyama paths from the origin with per-axis increments
 drift_i*dt + sigma*sqrt(dt)*N(0,1); the drift acts on the third axis (the
 only axis in 1D). Absorption is checked after each full step against the
-configured boundary: interval ends +-e_m, cube faces |E_i| = e_m, or the
-sphere |E| = e_m.
+configured boundary moved inwards by BETA*sigma*sqrt(dt): interval ends
++-e_m', cube faces |E_i| = e_m' or the sphere |E| = e_m', with
+e_m' = e_m - BETA*sigma*sqrt(dt). A walk checked only at step ends misses
+the excursions across the boundary between them, which delays the hit by
+O(sqrt(dt)); the shift is the continuity correction of Broadie, Glasserman
+and Kou (Math. Finance 7 (1997) 325), proved for smooth domains by Gobet
+and Menozzi (Stoch. Proc. Appl. 120 (2010) 130), and leaves an O(dt) bias.
 
 Every path draws from its own counter-derived Philox substream, so results
 are a pure function of (config, seed): any path subset, evaluation order or
@@ -24,15 +29,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.special import zeta
 
 from .params import DetectorParams
 
 _BOUNDARIES = ("interval", "cube", "sphere")
 
-# one-level Richardson weights for the O(sqrt(dt)) first-passage bias:
-# ext = C_FINE*m(dt/2) - C_COARSE*m(dt)
-C_FINE = math.sqrt(2.0) / (math.sqrt(2.0) - 1.0)
-C_COARSE = 1.0 / (math.sqrt(2.0) - 1.0)
+# boundary shift per sigma*sqrt(dt): -zeta(1/2)/sqrt(2 pi), the mean
+# overshoot of a standard Gaussian random walk over a distant level
+BETA = -float(zeta(0.5)) / math.sqrt(2.0 * math.pi)
 
 # Chunk size of the Euler kernel. A path of about mu steps cut into chunks
 # of k steps pays the per-chunk numpy calls about mu/k times and draws about
@@ -181,12 +186,16 @@ def _walks(config: MCConfig, dts: tuple[float, ...],
 
     Path i resets one generator to Philox substream i. Each chunk of normals
     is drawn once: normal k drives step k of the leg at every dt, and every
-    boundary is tested on that leg's positions.
+    boundary is tested on that leg's positions against that leg's shifted
+    threshold e_m - BETA*sigma*sqrt(dt).
     """
     p = config.params
     boundaries = boundaries or (config.boundary,)
-    legs = [(p.sigma * math.sqrt(dt), p.i_s * dt, config.steps_cap(dt)) for dt in dts]
-    longest = max(cap for *_, cap in legs)
+    legs = []
+    for dt in dts:
+        sig_step = p.sigma * math.sqrt(dt)
+        legs.append((sig_step, p.i_s * dt, config.steps_cap(dt), p.e_m - BETA * sig_step))
+    longest = max(leg[2] for leg in legs)
     t_ref = p.time_scale / config.dimension
     if p.i_s > 0:
         t_ref = min(t_ref, p.e_m / p.i_s)
@@ -196,7 +205,7 @@ def _walks(config: MCConfig, dts: tuple[float, ...],
     spheres = [b == "sphere" for b in boundaries]
     substream = _substreams(config.seed)
     for index in itertools.count():
-        hits = _walk(substream(index), p.e_m, config.dimension, legs, spheres, chunk, longest)
+        hits = _walk(substream(index), config.dimension, legs, spheres, chunk, longest)
         yield [s * dt if s else math.nan for dt, leg in zip(dts, hits) for s in leg]
 
 
@@ -216,7 +225,7 @@ def _substreams(seed: int) -> Callable[[int], Generator]:
     return reset
 
 
-def _walk(rng: Generator, em: float, dim: int, legs: list[tuple[float, float, int]],
+def _walk(rng: Generator, dim: int, legs: list[tuple[float, float, int, float]],
           spheres: list[bool], chunk: int, longest: int) -> list[list[int]]:
     """Hit step per boundary of every leg on one path, 0 where censored.
 
@@ -232,7 +241,7 @@ def _walk(rng: Generator, em: float, dim: int, legs: list[tuple[float, float, in
         # normals 3k..3k+2 drive step k in 3D; one contiguous row per axis
         z = np.ascontiguousarray(rng.standard_normal((m, dim)).T)
         for j in live[:]:
-            sig_step, drift_step, cap = legs[j]
+            sig_step, drift_step, cap, threshold = legs[j]
             n = min(m, cap - done)
             pos = z[:, :n] * sig_step
             if drift_step:
@@ -243,7 +252,7 @@ def _walk(rng: Generator, em: float, dim: int, legs: list[tuple[float, float, in
             leg = hits[j]
             for b, sphere in enumerate(spheres):
                 if not leg[b]:
-                    i = _first_exit(pos, em, sphere)
+                    i = _first_exit(pos, threshold, sphere)
                     if i < n:
                         leg[b] = done + i + 1
             if all(leg) or done + n == cap:
@@ -254,16 +263,16 @@ def _walk(rng: Generator, em: float, dim: int, legs: list[tuple[float, float, in
     return hits
 
 
-def _first_exit(pos: np.ndarray, em: float, sphere: bool) -> int:
+def _first_exit(pos: np.ndarray, threshold: float, sphere: bool) -> int:
     """First column of pos (axes x steps) on or beyond the boundary, or the
-    column count when there is none: |E| >= e_m for the sphere, any
-    |E_i| >= e_m for the interval and the cube."""
+    column count when there is none: |E| >= threshold for the sphere, any
+    |E_i| >= threshold for the interval and the cube."""
     if sphere:
-        hit = (pos * pos).sum(axis=0) >= em * em
+        hit = (pos * pos).sum(axis=0) >= threshold * threshold
     elif len(pos) == 1:
-        hit = np.abs(pos[0]) >= em
+        hit = np.abs(pos[0]) >= threshold
     else:
-        hit = (np.abs(pos) >= em).any(axis=0)
+        hit = (np.abs(pos) >= threshold).any(axis=0)
     i = int(hit.argmax())
     return i if hit[i] else pos.shape[1]
 
@@ -286,32 +295,34 @@ def _estimate(times: np.ndarray, dt: float) -> FPTEstimate:
 
 
 def simulate_fpt(config: MCConfig) -> FPTEstimate:
-    """Estimate the mean first-passage time at the configured step size."""
+    """Estimate the mean first-passage time at the configured step size,
+    with the O(dt) bias of the shifted boundary."""
     return _estimate(_sample_times(config, config.dt), config.dt)
 
 
 def simulate_fpt_richardson(config: MCConfig) -> RichardsonFPT:
     """Run at dt and dt/2 from the same per-path substreams and extrapolate
-    away the leading O(sqrt(dt)) discretization bias.
+    away the leading O(dt) discretization bias of the shifted boundary.
 
     The shared streams correlate the two legs path by path, so the
     extrapolated standard error comes from the per-path combination
-    C_FINE*t_fine - C_COARSE*t_coarse rather than from independent errors;
-    a path censored on either leg is censored in the combination.
+    2*t_fine - t_coarse rather than from independent errors; a path
+    censored on either leg is censored in the combination.
     """
     coarse_t, fine_t = _sample(config, (config.dt, config.dt / 2.0)).T
     return RichardsonFPT(
         coarse=_estimate(coarse_t, config.dt),
         fine=_estimate(fine_t, config.dt / 2.0),
-        extrapolated=_estimate(C_FINE * fine_t - C_COARSE * coarse_t, config.dt))
+        extrapolated=_estimate(2.0 * fine_t - coarse_t, config.dt))
 
 
 def simulate_fpt_sphere_vs_cube(params: DetectorParams, base: MCConfig) -> SphereCubeComparison:
     """Evaluate both 3D boundaries on the same trajectories.
 
-    The inscribed sphere |E| = e_m lies inside the cube |E_i| = e_m, so on a
-    common path the sphere absorbs no later; both hit conditions are checked
-    on identical positions, making the comparison exactly paired.
+    The inscribed sphere |E| = e_m' lies inside the cube |E_i| = e_m' (both
+    shifted to the same e_m'), so on a common path the sphere absorbs no
+    later; both hit conditions are checked on identical positions, making
+    the comparison exactly paired.
     """
     if base.dimension != 3:
         raise ValueError("sphere/cube comparison requires a 3D base config")

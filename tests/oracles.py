@@ -6,7 +6,8 @@ precision, or split into a closed-form part and an exponentially convergent
 remainder; the lag correlation is integrated panel by panel between the
 zeros of the cosine, with the alternating panel tail accelerated by
 iterated averaging of raw partial sums, or by mpmath's oscillatory
-quadrature.
+quadrature; the mean hit time of the discrete Euler walk solves the
+one-step renewal equation by Nystrom quadrature, with no sampling.
 """
 import math
 
@@ -120,3 +121,28 @@ def g_mpmath(tau: float, dps: int = 30) -> float:
         pref = 2 / (3 * mp.pi)
         return float(mp.quadosc(lambda x: pref * x ** 3 * mp.cos(t * x) / (x * x + 1) ** 4,
                                 [0, mp.inf], omega=t))
+
+
+def euler_walk_mean_1d(x: float, dt: float, shift: float, panel: float = 0.5) -> float:
+    """Exact mean hit time of the Euler walk Y_n = Y_{n-1} + x dt + sqrt(dt) Z_n
+    from Y_0 = 0, absorbed at the first n >= 1 with |Y_n| >= a, where
+    a = 1 - shift*sqrt(dt) (units e_m = sigma = 1).
+
+    The expected step count u(y) from y solves u = 1 + K u with the Gaussian
+    one-step kernel K on (-a, a). Nystrom quadrature on Gauss-Legendre panels
+    of width panel*sqrt(dt) resolves the kernel, so the solve is exact to
+    round-off in practice; the mean is dt*(1 + (K u)(0)).
+    """
+    a = 1.0 - shift * math.sqrt(dt)
+    g, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(-a, a, math.ceil(2.0 * a / (panel * math.sqrt(dt))) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    y = ((edges[:-1, None] + edges[1:, None]) / 2 + half * g).ravel()
+    w = (half * w).ravel()
+
+    def step(frm, to):
+        d = to - frm - x * dt
+        return np.exp(-d * d / (2.0 * dt)) / math.sqrt(2.0 * math.pi * dt)
+
+    u = np.linalg.solve(np.eye(y.size) - step(y[:, None], y[None, :]) * w, np.ones(y.size))
+    return dt * (1.0 + float(np.dot(step(0.0, y) * w, u)))

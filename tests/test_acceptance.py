@@ -18,6 +18,9 @@ when the verdict does not change. On this build both verdicts are FAIL (see
 the discrepancy notes in README.md); a check that claims PASS, or a quoted
 figure that becomes reproducible while its check still says FAIL, fails the
 test.
+
+A last, fast test runs the four Monte Carlo checks at 1/100 of their paths
+and asserts that each one's detail states the step it actually took.
 """
 import math
 
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 from oracles import DARK_MEAN_3D, DARK_RATE_3D, g_panel_quadrature
 
-from photofpt import DEFAULT_SEED
+from photofpt import DEFAULT_SEED, mc, validation
 from photofpt.analytic import mean_fpt_3d, rate_3d
 from photofpt.field import g_tau
 from photofpt.params import params_for_intensity
@@ -77,3 +80,35 @@ def test_criterion(cid):
     message = (result.line() + f"\ncorrect verdict: {'PASS' if expected else 'FAIL'}"
                + (f"\n{result.detail}" if result.detail else ""))
     assert bool(result.passed) == expected, message
+
+
+class _ScaledRecordingMC:
+    """Stands in for photofpt.mc inside the validation module: divides path
+    counts and stream horizons by 100 and records the step of every config."""
+
+    def __init__(self):
+        self.dts = []
+
+    def __getattr__(self, name):
+        return getattr(mc, name)
+
+    def MCConfig(self, *, n_paths, **kwargs):
+        config = mc.MCConfig(n_paths=max(100, round(n_paths / 100)), **kwargs)
+        self.dts.append(config.dt)
+        return config
+
+    def simulate_event_stream(self, config, horizon):
+        return mc.simulate_event_stream(config, horizon / 100)
+
+
+@pytest.mark.parametrize("cid", [1, 2, 12, 13])
+def test_mc_check_detail_states_its_step(monkeypatch, cid):
+    """At 1/100 of its paths, each Monte Carlo check reports the step it ran."""
+    recorder = _ScaledRecordingMC()
+    monkeypatch.setattr(validation, "mc", recorder)
+    result = run_check(cid, DEFAULT_SEED)
+    assert recorder.dts
+    for dt in recorder.dts:
+        assert f"dt = {dt:g}" in result.detail, result.detail
+    if cid != 12:
+        assert f"and {recorder.dts[-1] / 2:g}," in result.detail, result.detail

@@ -119,6 +119,19 @@ def test_image_sum_matches_pde_solver(drift):
     assert abs(got - ref) < 1e-6
 
 
+# Crank-Nicolson survival at t = 0.5 e_m^2/sigma^2, as solved with a fresh
+# banded solve at every step; factoring the constant matrix once must not
+# change a bit.
+@pytest.mark.parametrize("x, pinned", [
+    (0.0, 0.6854457861514671),
+    (1.3, 0.5247814222408482),
+    (2.0, 0.3608725788437723),
+])
+def test_pde_solver_pinned(x, pinned):
+    params = params_for_intensity(x)
+    assert pde_survival_1d(0.5, params.i_s, params) == pinned
+
+
 def test_survival_decreasing_and_bounded():
     ts = np.geomspace(0.05, 5.0, 12)
     vals = [axis_survival_image(t, 1.0, UNIT) for t in ts]

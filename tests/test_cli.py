@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,11 @@ def _one_error_line(err: str) -> bool:
     ("field", "--x-max", "inf", "--points", "3"),
     ("field", "--x-min", "nan", "--points", "2"),
     ("sweep", "--x-max", "inf", "--points", "3"),
+    ("rate", "--is", "5e-324"),                      # the excess, about 1/x, overflows
+    ("sweep", "--x-min", "1e-320", "--points", "2"),
+    ("rate", "--em", "2.6e16", "--sigma", "2.6e16", "--is", "1.9e178",
+     "--cross-section", "1.9e178"),                  # cross_section/mean overflows
+    ("field", "--x-max", "1e300", "--points", "3"),  # g_small overflows
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -94,23 +100,58 @@ def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     assert _one_error_line(err), err
 
 
+def _run_quietly(argv) -> tuple[int, str, str]:
+    """main(argv) with warnings raised as errors, so a warning fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @given(command=st.sampled_from(["field", "sweep"]), x_min=st.floats(), x_max=st.floats(),
        points=st.integers(1, 20), grid=st.sampled_from(["lin", "log"]))
 def test_grid_flags_exit_0_or_2(command, x_min, x_max, points, grid):
-    """Any grid bounds, finite or not: a table with finite lags and
-    correlations, or exit 2 with one error line."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, f"--x-min={x_min!r}", f"--x-max={x_max!r}",
-                     "--points", str(points), "--grid", grid])
+    """Any grid bounds, finite or not: a table of finite values, or exit 2
+    with one error line. The only nan is g_large at tau = 0, where the
+    large-lag form is undefined; stderr holds nothing but field's report."""
+    code, out, err = _run_quietly([command, f"--x-min={x_min!r}", f"--x-max={x_max!r}",
+                                   "--points", str(points), "--grid", grid])
     if code != EXIT_OK:
         assert code == EXIT_USAGE
-        assert _one_error_line(err.getvalue()), err.getvalue()
+        assert out == ""
+        assert _one_error_line(err), err
     elif command == "field":
-        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == points
-        assert all(math.isfinite(float(r["tau"])) and math.isfinite(float(r["g"]))
-                   for r in rows)
+        for r in rows:
+            assert all(math.isfinite(float(r[k])) for k in ("tau", "g", "g_small")), r
+            assert math.isfinite(float(r["g_large"])) or (
+                float(r["tau"]) == 0.0 and math.isnan(float(r["g_large"]))), r
+        assert json.loads(err)["consistent_1e-6"] is True
+    else:
+        assert err == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(em=st.floats(), sigma=st.floats(), i_s=st.floats(), cross_section=st.floats())
+def test_rate_flags_exit_0_or_one_error_line(em, sigma, i_s, cross_section):
+    """Any parameter floats, finite or not: finite JSON, or exit 2 or 3 with
+    one error line."""
+    code, out, err = _run_quietly(["rate", f"--em={em!r}", f"--sigma={sigma!r}",
+                                   f"--is={i_s!r}", f"--cross-section={cross_section!r}"])
+    if code != EXIT_OK:
+        assert code in (EXIT_USAGE, EXIT_QUALITY)
+        assert out == ""
+        assert _one_error_line(err), err
+        return
+    assert err == ""
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert all(v is None or math.isfinite(v) for v in payload.values())
 
 
 @pytest.mark.parametrize("module, name, error, argv", [

@@ -5,15 +5,16 @@ a three-standard-error margin or tests an ordering that holds at that seed.
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
+from oracles import euler_walk_mean_1d
 
 from photofpt import mc
 from photofpt.analytic import mean_fpt_1d, mean_fpt_3d
 from photofpt.mc import (
-    C_COARSE,
-    C_FINE,
+    BETA,
     EventStream,
     FPTEstimate,
     MCConfig,
@@ -60,25 +61,83 @@ def test_richardson_matches_closed_form(richardson_unit_seed7):
     assert abs(zscore(1.0, richardson_unit_seed7.extrapolated)) < 3.0
 
 
+def test_beta_is_the_gaussian_overshoot_constant():
+    assert BETA == pytest.approx(float(-mpmath.zeta(0.5) / mpmath.sqrt(2 * mpmath.pi)),
+                                 rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("boundary", ["interval", "cube", "sphere"])
+def test_each_leg_tests_its_shifted_threshold(monkeypatch, boundary):
+    params = DetectorParams(e_m=2.0, sigma=0.5, i_s=0.3)
+    cfg = MCConfig(params=params, dt=4e-3, n_paths=100, seed=2,
+                   dimension=1 if boundary == "interval" else 3, boundary=boundary)
+    dts = (cfg.dt, cfg.dt / 2.0, cfg.dt / 8.0)
+    seen = []
+    walk = mc._walk
+
+    def spy(rng, dim, legs, *rest):
+        seen.append([leg[3] for leg in legs])
+        return walk(rng, dim, legs, *rest)
+    monkeypatch.setattr(mc, "_walk", spy)
+    _sample(cfg, dts)
+    assert len(seen) == cfg.n_paths
+    expected = [2.0 - BETA * 0.5 * math.sqrt(dt) for dt in dts]
+    for thresholds in seen:
+        assert thresholds == pytest.approx(expected, rel=1e-15)
+
+
+def _walk_mean(dt, shift=BETA):
+    return euler_walk_mean_1d(0.0, dt, shift)
+
+
 def test_richardson_bias_structure(richardson_unit_seed7):
-    """Positive O(sqrt(dt)) bias: coarse above fine, extrapolation closest."""
+    """O(dt) bias: each leg sits within 3 standard errors of the exact mean
+    of the shifted walk at its step, whose bias is linear in dt, so the
+    (2, -1) combination removes it; plain Euler's O(sqrt(dt)) bias would put
+    the coarse leg more than 10 standard errors away."""
+    coarse_mean, fine_mean = _walk_mean(5e-3), _walk_mean(2.5e-3)
+    assert coarse_mean > fine_mean > 1.0
+    assert 2.0 * fine_mean - coarse_mean == pytest.approx(1.0, abs=1e-9)
+    plain = _walk_mean(5e-3, shift=0.0)
     for rich in (richardson_unit_seed7,
                  simulate_fpt_richardson(MCConfig(params=UNIT, dt=5e-3,
                                                   n_paths=20000, seed=8))):
-        assert rich.coarse.mean >= rich.fine.mean
-        assert abs(rich.extrapolated.mean - 1.0) <= abs(rich.coarse.mean - 1.0)
+        assert abs(zscore(coarse_mean, rich.coarse)) < 3.0
+        assert abs(zscore(fine_mean, rich.fine)) < 3.0
+        assert abs(zscore(1.0, rich.extrapolated)) < 3.0
+        assert zscore(plain, rich.coarse) < -10.0
         assert rich.fine.dt_used == rich.coarse.dt_used / 2.0
 
 
 def test_extrapolation_weights():
-    assert C_FINE - C_COARSE == pytest.approx(1.0, rel=1e-15)
-    assert C_FINE / C_COARSE == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    """The extrapolation is the per-path combination 2 t(dt/2) - t(dt): its
+    weights sum to one and cancel a bias c*dt."""
+    cfg = MCConfig(params=UNIT, dt=5e-3, n_paths=400, seed=9)
+    coarse_t, fine_t = _sample(cfg, (cfg.dt, cfg.dt / 2.0)).T
+    combined = 2.0 * fine_t - coarse_t
+    rich = simulate_fpt_richardson(cfg)
+    assert rich.extrapolated.mean == pytest.approx(combined.mean(), rel=1e-15)
+    assert rich.extrapolated.mean == pytest.approx(2.0 * rich.fine.mean - rich.coarse.mean,
+                                                   rel=1e-15)
+    assert rich.extrapolated.std_err == pytest.approx(
+        combined.std(ddof=1) / math.sqrt(combined.size), rel=1e-15)
 
 
 def test_bias_shrinks_with_dt():
-    means = [simulate_fpt(MCConfig(params=UNIT, dt=dt, n_paths=2000, seed=11)).mean
-             for dt in (0.01, 0.005, 0.0025)]
-    assert means[0] > means[1] > means[2] > 1.0
+    """Exact means of the shifted walk: the bias halves with dt (O(dt)),
+    where the unshifted walk's shrinks by sqrt(2) only; the sampled means
+    follow the shifted walk at every step."""
+    dts = (0.01, 0.005, 0.0025)
+    exact = [_walk_mean(dt) for dt in dts]
+    plain = [_walk_mean(dt, shift=0.0) for dt in dts]
+    assert exact[0] > exact[1] > exact[2] > 1.0
+    for i in (0, 1):
+        assert (exact[i] - 1.0) / (exact[i + 1] - 1.0) == pytest.approx(2.0, rel=1e-6)
+        assert (plain[i] - 1.0) / (plain[i + 1] - 1.0) == pytest.approx(math.sqrt(2.0), rel=0.05)
+    for dt, mean, unshifted in zip(dts, exact, plain):
+        est = simulate_fpt(MCConfig(params=UNIT, dt=dt, n_paths=2000, seed=11))
+        assert abs(zscore(mean, est)) < 3.0
+        assert zscore(unshifted, est) < -3.0
 
 
 def test_richardson_cube_matches_series():
@@ -107,6 +166,19 @@ def test_sphere_inside_cube():
     assert comp.sphere.mean < comp.cube.mean
     assert 0.65 < comp.ratio < 0.82
     assert comp.ratio_err < 0.05
+
+
+@pytest.mark.parametrize("x", [0.0, 2.0])
+def test_shifted_sphere_absorbs_no_later_than_shifted_cube(x):
+    """Both boundaries move in by the same BETA*sigma*sqrt(dt), so the sphere
+    stays inscribed in the cube: at 5e-3, the coarsest step of any acceptance
+    check, it absorbs no later on every path."""
+    base = MCConfig(params=params_for_intensity(x), dt=5e-3, n_paths=5000, seed=41,
+                    dimension=3, boundary="cube")
+    sphere_t, cube_t = _sample(base, (base.dt,), ("sphere", "cube")).T
+    assert not np.isnan(cube_t).any()
+    assert np.all(sphere_t <= cube_t)
+    assert np.any(sphere_t < cube_t)
 
 
 def test_sphere_cube_requires_3d_base():
@@ -322,33 +394,34 @@ def _est(mean, std_err, n_absorbed, n_censored, dt_used):
                        n_censored=n_censored, dt_used=dt_used)
 
 
-# Estimates computed by the earlier implementation, which walked every leg
-# and boundary on its own substream pass; the shared-draw kernel must
-# reproduce them exactly.
+# Estimates of the boundary-shifted kernel. With the shift set to 0 the same
+# kernel reproduces, by repr, every coarse and fine leg pinned before the
+# shift, which were in turn those of an earlier implementation that walked
+# every leg and boundary on its own substream pass.
 def test_pinned_richardson_estimates():
     assert simulate_fpt_richardson(_config(2.0, "interval", n_paths=300, seed=11)) == RichardsonFPT(
-        coarse=_est(0.47930000000000006, 0.01547333917404691, 300, 0, 0.01),
-        fine=_est(0.48028333333333334, 0.01707110218259868, 300, 0, 0.005),
-        extrapolated=_est(0.48265731000300016, 0.0470063045598808, 300, 0, 0.01))
+        coarse=_est(0.4443000000000001, 0.014782915581443035, 300, 0, 0.01),
+        fine=_est(0.4600333333333333, 0.016856350809594814, 300, 0, 0.005),
+        extrapolated=_est(0.4757666666666667, 0.02802549477686206, 300, 0, 0.01))
     assert simulate_fpt_richardson(_config(0.0, "sphere", n_paths=200, seed=12)) == RichardsonFPT(
-        coarse=_est(0.35814999999999997, 0.014935552926022867, 200, 0, 0.01),
-        fine=_est(0.38292499999999996, 0.017951087840246373, 200, 0, 0.005),
-        extrapolated=_est(0.44273714100779343, 0.057474927917328535, 200, 0, 0.01))
+        coarse=_est(0.32034999999999997, 0.013172298002754374, 200, 0, 0.01),
+        fine=_est(0.35125, 0.016448516833749805, 200, 0, 0.005),
+        extrapolated=_est(0.38215, 0.03060223638656653, 200, 0, 0.01))
     # paths of 5000 to 10000 steps, several chunks each
     assert simulate_fpt_richardson(_config(0.0, "cube", dt=1e-4, seed=6)) == RichardsonFPT(
-        coarse=_est(0.5034730000000001, 0.039272186777063046, 100, 0, 1e-4),
-        fine=_est(0.45773350000000007, 0.028687775025023527, 100, 0, 5e-5),
-        extrapolated=_est(0.34730857876383586, 0.07958223139684278, 100, 0, 1e-4))
+        coarse=_est(0.49953400000000003, 0.039158612949403766, 100, 0, 1e-4),
+        fine=_est(0.45655000000000007, 0.028688116561011494, 100, 0, 5e-5),
+        extrapolated=_est(0.41356599999999993, 0.04283564493750644, 100, 0, 1e-4))
     censored = _config(0.0, "interval", dt=1e-3, n_paths=300, seed=14, max_time=1.0)
     assert simulate_fpt_richardson(censored) == RichardsonFPT(
-        coarse=_est(0.49960119047619045, 0.018698570069940145, 168, 132, 1e-3),
-        fine=_est(0.5439608938547486, 0.01931693281126968, 179, 121, 5e-4),
-        extrapolated=_est(0.37504233095852224, 0.07023154182758293, 126, 174, 1e-3))
+        coarse=_est(0.4969886363636364, 0.018500184254323516, 176, 124, 1e-3),
+        fine=_est(0.5375165745856353, 0.019017159669281105, 181, 119, 5e-4),
+        extrapolated=_est(0.4192290076335878, 0.0386083646492679, 131, 169, 1e-3))
 
 
 def test_pinned_sphere_vs_cube_estimates():
     base = _config(2.0, "cube", n_paths=200, seed=13)
     comp = simulate_fpt_sphere_vs_cube(base.params, base)
-    assert comp.sphere == _est(0.32435, 0.012525467022055625, 200, 0, 0.01)
-    assert comp.cube == _est(0.40340000000000004, 0.014313686039598641, 200, 0, 0.01)
-    assert (comp.ratio, comp.ratio_err) == (0.8040406544372831, 0.016515733644097714)
+    assert comp.sphere == _est(0.28955, 0.010541208320886253, 200, 0, 0.01)
+    assert comp.cube == _est(0.3702500000000001, 0.013838704281142238, 200, 0, 0.01)
+    assert (comp.ratio, comp.ratio_err) == (0.7820391627278863, 0.01857969201190384)
