@@ -12,6 +12,7 @@ against an independent finite-difference solver in the validation module.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,20 +47,27 @@ def mean_fpt_1d(params: DetectorParams) -> float:
     return params.time_scale * _tanh_over_x(dimensionless_intensity(params))
 
 
-def _rate(params: DetectorParams, mean: float) -> float:
+def _rate(cross_section: float, mean: float) -> float:
     # a mean that underflows to 0 has no finite reciprocal
     if not 0 < mean < math.inf:
         raise ValueError(f"mean first-passage time {mean} is not a positive finite number")
-    rate = params.cross_section / mean
+    rate = cross_section / mean
     if rate == math.inf:
-        raise ValueError(f"rate cross_section/mean = {params.cross_section:g}/{mean:g} overflows")
+        raise ValueError(f"rate cross_section/mean = {cross_section:g}/{mean:g} overflows")
     return rate
+
+
+def _finite_excess(value: float, x: float) -> float:
+    # about 1/x, so it overflows for x below about 1e-308
+    if not math.isfinite(value):
+        raise ValueError(f"the excess fraction overflows at x = {x:g}")
+    return value
 
 
 def rate_1d(params: DetectorParams) -> float:
     """1D detection rate, the exact reciprocal of mean_fpt_1d times the
     cross section. rate_1d * mean_fpt_1d == cross_section to round-off."""
-    return _rate(params, mean_fpt_1d(params))
+    return _rate(params.cross_section, mean_fpt_1d(params))
 
 
 def rate_1d_asymptotic(params: DetectorParams, regime: str) -> float:
@@ -76,25 +84,42 @@ def rate_1d_asymptotic(params: DetectorParams, regime: str) -> float:
     raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _euler_weights(n: int) -> np.ndarray:
+    """Read-only binomial weights C(m, j)/2**m, j = 0..m, for m = n - 2.
+
+    Integer numerator and power-of-two denominator make each weight the
+    correctly rounded quotient.
+    """
+    m = n - 2
+    w = np.array([math.comb(m, j) / 2 ** m for j in range(m + 1)])
+    w.flags.writeable = False
+    return w
+
+
 def _accelerated_alternating_sum(signed_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum alternating series along the last axis by iterated averaging of
+    """Sum alternating series along the last axis by the Euler transform of
     their partial sums.
 
-    Works on the cumulative-sum sequence, shortening it by one per pairwise
-    averaging until two entries remain; their mean is the accelerated value
-    and half their gap estimates the remaining truncation error. For
-    alternating series with smoothly decreasing terms this converges far
-    below the first-omitted-term bound of the plain partial sum. Returns
-    (values, error estimates), one per series.
+    The transform is m = n - 2 rounds of pairwise averaging of the n partial
+    sums s_0..s_{n-1}, which leave two entries. Each round is linear, and m
+    rounds weight s_{i+j} by C(m, j)/2**m, so the two entries are
+    a = s_0..s_{n-2} . w and b = s_1..s_{n-1} . w with those binomial
+    weights w: one contraction each instead of m passes. Their mean is the
+    accelerated value and half their gap estimates the remaining truncation
+    error. For alternating series with smoothly decreasing terms this
+    converges far below the first-omitted-term bound of the plain partial
+    sum. Returns (values, error estimates), one per series.
     """
     s = np.cumsum(np.asarray(signed_terms, dtype=float), axis=-1)
     if s.shape[-1] == 1:
         # no acceleration possible; the single term is also the only
         # available scale for the unknown tail
         return s[..., 0], np.abs(s[..., 0])
-    while s.shape[-1] > 2:
-        s = 0.5 * (s[..., 1:] + s[..., :-1])
-    return 0.5 * (s[..., 0] + s[..., 1]), 0.5 * np.abs(s[..., 1] - s[..., 0])
+    w = _euler_weights(s.shape[-1])
+    a = s[..., :-1] @ w
+    b = s[..., 1:] @ w
+    return 0.5 * (a + b), 0.5 * np.abs(b - a)
 
 
 def axis_survival_image(t: float, drift: float, params: DetectorParams,
@@ -220,7 +245,20 @@ def mean_fpt_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> fl
 
 def rate_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> float:
     """Cube-model detection rate, cross_section / mean_fpt_3d."""
-    return _rate(params, mean_fpt_3d(params, ctrl))
+    return _rate(params.cross_section, mean_fpt_3d(params, ctrl))
+
+
+def _point_3d(params: DetectorParams,
+              ctrl: SeriesControl | None = None) -> tuple[float, float, float | None]:
+    """(mean_fpt_3d, rate_3d, dark excess) at one parameter point, all from
+    one evaluation of F. The excess is rate*e_m/i_s - 1 at unit cross
+    section, None where x = 0 and it diverges."""
+    mean = mean_fpt_3d(params, ctrl)
+    rate = _rate(params.cross_section, mean)
+    x = dimensionless_intensity(params)
+    if not x > 0:
+        return mean, rate, None
+    return mean, rate, _finite_excess(_rate(1.0, mean) * params.e_m / params.i_s - 1.0, x)
 
 
 def dark_fraction(x: float, dimension: int = 1,
@@ -236,16 +274,10 @@ def dark_fraction(x: float, dimension: int = 1,
         raise ValueError(f"the excess fraction diverges as x -> 0; need x > 0, got {x}")
     if dimension not in (1, 3):
         raise ValueError(f"dimension must be 1 or 3, got {dimension}")
-    if dimension == 1:
-        # not 2/expm1(2x): math.expm1 raises OverflowError from x ~ 355
-        value = 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
-    else:
-        params = params_for_intensity(float(x))
-        value = rate_3d(params, ctrl) * params.e_m / params.i_s - 1.0
-    # about 1/x, so it overflows for x below about 1e-308
-    if not math.isfinite(value):
-        raise ValueError(f"the excess fraction overflows at x = {x:g}")
-    return value
+    if dimension == 3:
+        return _point_3d(params_for_intensity(float(x)), ctrl)[2]
+    # not 2/expm1(2x): math.expm1 raises OverflowError from x ~ 355
+    return _finite_excess(2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x), x)
 
 
 def quantum_rate(i_s: float, q: QuantumDetectorParams) -> float:

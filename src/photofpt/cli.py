@@ -26,6 +26,7 @@ from .params import (
     SeriesControl,
     TruncationError,
     dimensionless_intensity,
+    params_for_intensity,
 )
 
 EXIT_OK = 0
@@ -97,17 +98,19 @@ def _params(args) -> DetectorParams:
 
 
 def _rate_payload(params: DetectorParams, ctrl: SeriesControl) -> dict:
+    """Rates, means and dark excesses at one point, with one evaluation of
+    the cube series; the excesses are None at x = 0, where they diverge."""
     x = dimensionless_intensity(params)
-    payload = {
+    mean_3d, rate_3d, excess_3d = analytic._point_3d(params, ctrl)
+    return {
         "x": x,
         "mean_fpt_1d": analytic.mean_fpt_1d(params),
-        "mean_fpt_3d": analytic.mean_fpt_3d(params, ctrl),
+        "mean_fpt_3d": mean_3d,
         "rate_1d": analytic.rate_1d(params),
-        "rate_3d": analytic.rate_3d(params, ctrl),
+        "rate_3d": rate_3d,
         "dark_fraction_1d": analytic.dark_fraction(x, 1) if x > 0 else None,
-        "dark_fraction_3d": analytic.dark_fraction(x, 3, ctrl) if x > 0 else None,
+        "dark_fraction_3d": excess_3d,
     }
-    return payload
 
 
 def cmd_rate(args) -> int:
@@ -118,18 +121,22 @@ def cmd_rate(args) -> int:
 
 def build_rate_curve(e_m: float, sigma: float, cross_section: float,
                      xs, ctrl: SeriesControl) -> RateCurve:
+    """One row per grid intensity x, its columns those of `photofpt rate`
+    at that point; undefined dark excesses become nan."""
+    # rejects a bad e_m before anything divides by it
+    DetectorParams(e_m=e_m, sigma=sigma, cross_section=cross_section)
     quantum = QuantumDetectorParams(eta=1.0, k_const=1.0 / e_m)
     rows = []
     for x in sorted(float(v) for v in xs):
-        i_s = x * sigma ** 2 / e_m
-        params = DetectorParams(e_m=e_m, sigma=sigma, i_s=i_s, cross_section=cross_section)
+        params = params_for_intensity(x, e_m, sigma, cross_section)
+        point = _rate_payload(params, ctrl)
         rows.append((
-            i_s,
-            analytic.rate_1d(params),
-            analytic.rate_3d(params, ctrl),
-            analytic.quantum_rate(i_s, quantum),
-            analytic.dark_fraction(x, 1) if x > 0 else math.nan,
-            analytic.dark_fraction(x, 3, ctrl) if x > 0 else math.nan,
+            params.i_s,
+            point["rate_1d"],
+            point["rate_3d"],
+            analytic.quantum_rate(params.i_s, quantum),
+            *(math.nan if point[k] is None else point[k]
+              for k in ("dark_fraction_1d", "dark_fraction_3d")),
         ))
     metadata = {
         "e_m": e_m, "sigma": sigma, "cross_section": cross_section,

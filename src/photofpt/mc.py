@@ -88,9 +88,15 @@ class MCConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.max_time is None:
             object.__setattr__(self, "max_time", 100.0 * ts)
+        if not math.isfinite(self.max_time):
+            raise ValueError(f"max_time must be finite, got {self.max_time}")
         if self.max_time < 100.0 * ts * (1.0 - 1e-12):
             raise ValueError(
                 f"max_time={self.max_time:g} too short; need >= 100*e_m**2/sigma**2 = {100.0 * ts:g}")
+        # the dt/2 leg has the larger step cap
+        if self.max_time / (0.5 * self.dt) == math.inf:
+            raise ValueError(f"max_time={self.max_time:g} gives a step cap max_time/(dt/2) "
+                             f"that overflows at dt={self.dt:g}")
 
     def steps_cap(self, dt: float) -> int:
         return int(math.ceil(self.max_time / dt))

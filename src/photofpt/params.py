@@ -6,6 +6,7 @@ dimensionless intensity i_s*e_m/sigma**2 that controls every rate curve.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -55,9 +56,16 @@ class DetectorParams:
             raise ValueError(f"i_s must be >= 0, got {self.i_s}")
         if not self.cross_section > 0:
             raise ValueError(f"cross_section must be > 0, got {self.cross_section}")
+        # a subnormal square carries fewer significant digits into the time
+        # scale and x
+        for name in ("e_m", "sigma"):
+            value = getattr(self, name)
+            if value * value < sys.float_info.min:
+                raise ValueError(f"{name}**2 must be at least the smallest normal double "
+                                 f"{sys.float_info.min:g}, got {name}={value}")
         try:
             ts = self.time_scale
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             ts = math.inf
         if not 0 < ts < math.inf:
             raise ValueError(f"e_m**2/sigma**2 must be a positive finite number, got {ts} "

@@ -212,8 +212,7 @@ def check_02_cube_mc(seed: int) -> CheckResult:
 
 def check_03_dark_3d_constants(seed: int) -> CheckResult:
     params = params_for_intensity(0.0)
-    mean = analytic.mean_fpt_3d(params)
-    rate = analytic.rate_3d(params)
+    mean, rate, _ = analytic._point_3d(params)
     ok = abs(mean - 0.49) <= 0.005 and abs(rate - 2.0) <= 0.02
     return CheckResult(
         expected="mean 0.490 +- 0.005, rate 2.00 +- 0.02 (units e_m^2/sigma^2 and its inverse)",

@@ -3,7 +3,8 @@
 These deliberately avoid the package's own algorithms: the double series is
 resummed with mpmath's alternating-series extrapolation at high working
 precision, or split into a closed-form part and an exponentially convergent
-remainder; the lag correlation is integrated panel by panel between the
+remainder; the Euler acceleration of alternating sums is computed by its
+definition, iterated averaging of partial sums; the lag correlation is integrated panel by panel between the
 zeros of the cosine, with the alternating panel tail accelerated by
 iterated averaging of raw partial sums, or by mpmath's oscillatory
 quadrature; the mean hit time of the discrete Euler walk solves the
@@ -70,6 +71,18 @@ def f3_split(x: float, dps: int = 30) -> float:
                 l += 1
             k += 1
         return float(mp.pi ** 4 / 128 - mp.pi / 4 * single - double)
+
+
+def iterated_average_sum(signed_terms) -> tuple[np.ndarray, np.ndarray]:
+    """Euler-accelerated alternating sums along the last axis, by definition:
+    average the partial sums pairwise until two entries remain; return their
+    mean and half their gap. A single term is its own value and tail."""
+    s = np.cumsum(np.asarray(signed_terms, dtype=float), axis=-1)
+    if s.shape[-1] == 1:
+        return s[..., 0], np.abs(s[..., 0])
+    while s.shape[-1] > 2:
+        s = 0.5 * (s[..., 1:] + s[..., :-1])
+    return 0.5 * (s[..., 0] + s[..., 1]), 0.5 * np.abs(s[..., 1] - s[..., 0])
 
 
 # Zero-intensity cube mean (128/pi^4) F(0), in units e_m^2/sigma^2, with F(0)

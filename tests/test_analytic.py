@@ -11,9 +11,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import DARK_MEAN_3D, DARK_RATE_3D, f3_mpmath, f3_split
+from oracles import DARK_MEAN_3D, DARK_RATE_3D, f3_mpmath, f3_split, iterated_average_sum
 
+from photofpt import analytic
 from photofpt.analytic import (
+    _accelerated_alternating_sum,
     axis_survival_image,
     axis_survival_spectral,
     dark_fraction,
@@ -224,6 +226,51 @@ def test_double_series_rejects_negative():
 def test_double_series_truncation_guard():
     with pytest.raises(TruncationError):
         f3_series(0.0, SeriesControl(kl_max=1))
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationError:
+        return None
+
+
+def _series_grid() -> dict:
+    """f3_series at x = 0 and 23 log-spaced x in [1e-3, 800] (rel_tol 1e-6)
+    and the spectral survival at 17 log-spaced t in [1e-6, 30], each at
+    kl_max 1, 2, 3, 7, 60 and 120; None where TruncationError is raised."""
+    values = {}
+    for kl in (1, 2, 3, 7, 60, 120):
+        for x in np.concatenate(([0.0], np.geomspace(1e-3, 800.0, 23))):
+            values["f3", kl, x] = _or_none(f3_series, float(x),
+                                           SeriesControl(kl_max=kl, rel_tol=1e-6))
+        for t in np.geomspace(1e-6, 30.0, 17):
+            values["spectral", kl, t] = _or_none(axis_survival_spectral, float(t), UNIT,
+                                                 SeriesControl(kl_max=kl))
+    return values
+
+
+def test_binomial_contraction_matches_iterated_averaging(monkeypatch):
+    """The one-contraction Euler sum agrees with its definition, repeated
+    pairwise averaging, to summation-order round-off."""
+    got = _series_grid()
+    monkeypatch.setattr(analytic, "_accelerated_alternating_sum", iterated_average_sum)
+    want = _series_grid()
+    assert [v is None for v in got.values()] == [v is None for v in want.values()]
+    for key, value in got.items():
+        if value is None:
+            continue
+        if key[0] == "f3":
+            assert abs(value - want[key]) <= 4e-15 * abs(want[key]), key
+        else:
+            assert abs(value - want[key]) <= 4e-16, key
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_short_alternating_sums_are_bit_identical(n):
+    terms = np.random.default_rng(5).normal(size=(40, n))
+    for got, want in zip(_accelerated_alternating_sum(terms), iterated_average_sum(terms)):
+        assert np.array_equal(got, want)
 
 
 def test_mean_3d_dark_value():

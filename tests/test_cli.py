@@ -92,6 +92,11 @@ def _one_error_line(err: str) -> bool:
     ("rate", "--em", "2.6e16", "--sigma", "2.6e16", "--is", "1.9e178",
      "--cross-section", "1.9e178"),                  # cross_section/mean overflows
     ("field", "--x-max", "1e300", "--points", "3"),  # g_small overflows
+    ("mc", "--paths", "100", "--max-time", "inf"),
+    ("mc", "--paths", "100", "--max-time", "nan"),
+    ("mc", "--paths", "100", "--max-time", "1e308"),  # max_time/dt overflows
+    ("sweep", "--em", "1e-160", "--sigma", "1e-160", "--points", "2"),  # subnormal squares
+    ("sweep", "--em", "0", "--points", "3"),         # 1/e_m for the linear detector
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -152,6 +157,24 @@ def test_rate_flags_exit_0_or_one_error_line(em, sigma, i_s, cross_section):
     assert err == ""
     payload = json.loads(out, parse_constant=_reject_constant)
     assert all(v is None or math.isfinite(v) for v in payload.values())
+
+
+@given(em=st.floats(), sigma=st.floats(), cross_section=st.floats())
+def test_sweep_flags_exit_0_or_one_error_line(em, sigma, cross_section):
+    """Any parameter floats, finite or not, on a fixed grid: a CSV of finite
+    values, or exit 2 or 3 with one error line."""
+    code, out, err = _run_quietly(["sweep", f"--em={em!r}", f"--sigma={sigma!r}",
+                                   f"--cross-section={cross_section!r}", "--x-min", "0.01",
+                                   "--x-max", "100", "--points", "3"])
+    if code != EXIT_OK:
+        assert code in (EXIT_USAGE, EXIT_QUALITY)
+        assert out == ""
+        assert _one_error_line(err), err
+        return
+    assert err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row), rows
 
 
 @pytest.mark.parametrize("module, name, error, argv", [
@@ -264,8 +287,30 @@ def test_sweep_single_point_matches_rate(capsys):
     _, rate_out, _ = run_cli(capsys, "rate", "--is", "1")
     row = json.loads(sweep_out)["rows"][0]
     rate = json.loads(rate_out)
+    assert row[0] == rate["x"]
     assert row[1] == rate["rate_1d"]
     assert row[2] == rate["rate_3d"]
+    assert row[3] == rate["x"]
+    assert row[4] == rate["dark_fraction_1d"]
+    assert row[5] == rate["dark_fraction_3d"]
+
+
+def test_one_series_evaluation_per_rate_point(monkeypatch, capsys):
+    calls = []
+    series = analytic.f3_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+    monkeypatch.setattr(analytic, "f3_series", counted)
+    for x in ("0", "1.5"):
+        calls.clear()
+        assert run_cli(capsys, "rate", "--is", x)[0] == EXIT_OK
+        assert len(calls) == 1
+    calls.clear()
+    assert run_cli(capsys, "sweep", "--x-min", "0", "--x-max", "3", "--points", "4",
+                   "--grid", "lin")[0] == EXIT_OK
+    assert len(calls) == 4
 
 
 def test_monotone_rate_columns(capsys):

@@ -272,6 +272,13 @@ def test_config_validation(kwargs):
         MCConfig(**base)
 
 
+@pytest.mark.parametrize("max_time", [math.inf, math.nan, 1e308])
+def test_config_rejects_max_time_without_finite_step_cap(max_time):
+    # 1e308 is finite, but its step cap at dt/2 overflows
+    with pytest.raises(ValueError, match="max_time"):
+        MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, max_time=max_time)
+
+
 def test_config_defaults():
     cfg = MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1)
     assert cfg.max_time == 100.0

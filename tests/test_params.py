@@ -43,6 +43,9 @@ def test_time_scale_units():
     dict(e_m=1.0, sigma=1e-200),   # sigma**2 underflows to 0
     dict(e_m=1e200, sigma=1.0),    # e_m**2 overflows
     dict(e_m=1e160, sigma=1e-160),  # time scale overflows
+    dict(e_m=1e-160, sigma=1e-160),  # both squares subnormal
+    dict(e_m=1e-160, sigma=1.0),
+    dict(e_m=1.0, sigma=1e-160),
     dict(e_m=1e10, sigma=1.0, i_s=1e300),  # i_s*e_m/sigma**2 overflows
 ])
 def test_rejects_bad_detector_values(kwargs):
