@@ -18,14 +18,7 @@ import math
 import numpy as np
 from scipy.special import log_ndtr
 
-from .params import (
-    DetectorParams,
-    QuantumDetectorParams,
-    SeriesControl,
-    TruncationError,
-    dimensionless_intensity,
-    params_for_intensity,
-)
+from .params import DetectorParams, SeriesControl, TruncationError, dimensionless_intensity
 
 _SMALL_X = 1e-4
 
@@ -243,46 +236,43 @@ def mean_fpt_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> fl
     return (128.0 / math.pi ** 4) * params.time_scale * f3_series(x, ctrl)
 
 
-def rate_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> float:
+def rate_3d(params: DetectorParams) -> float:
     """Cube-model detection rate, cross_section / mean_fpt_3d."""
-    return _rate(params.cross_section, mean_fpt_3d(params, ctrl))
+    return _rate(params.cross_section, mean_fpt_3d(params))
 
 
-def _point_3d(params: DetectorParams,
-              ctrl: SeriesControl | None = None) -> tuple[float, float, float | None]:
-    """(mean_fpt_3d, rate_3d, dark excess) at one parameter point, all from
-    one evaluation of F. The excess is rate*e_m/i_s - 1 at unit cross
-    section, None where x = 0 and it diverges."""
-    mean = mean_fpt_3d(params, ctrl)
-    rate = _rate(params.cross_section, mean)
-    x = dimensionless_intensity(params)
-    if not x > 0:
-        return mean, rate, None
-    return mean, rate, _finite_excess(_rate(1.0, mean) * params.e_m / params.i_s - 1.0, x)
+def dark_fraction(x: float) -> float:
+    """Fractional excess coth x - 1 of the interval model's rate over the
+    linear rate i_s/e_m, at unit cross section, formed without cancellation.
 
-
-def dark_fraction(x: float, dimension: int = 1,
-                  ctrl: SeriesControl | None = None) -> float:
-    """Fractional excess of the model rate over the linear rate i_s/e_m.
-
-    Returns rate*e_m/i_s - 1 at unit cross section for the interval
-    (dimension 1) or cube (dimension 3) model. Diverges as x -> 0 even
-    though the dark rate itself stays finite, so x = 0 is rejected. The
-    interval excess, coth x - 1, is formed without cancellation.
+    Diverges as x -> 0 even though the dark rate itself stays finite, so
+    x = 0 is rejected. The cube model's excess is rate_point's.
     """
     if not x > 0:
         raise ValueError(f"the excess fraction diverges as x -> 0; need x > 0, got {x}")
-    if dimension not in (1, 3):
-        raise ValueError(f"dimension must be 1 or 3, got {dimension}")
-    if dimension == 3:
-        return _point_3d(params_for_intensity(float(x)), ctrl)[2]
     # not 2/expm1(2x): math.expm1 raises OverflowError from x ~ 355
     return _finite_excess(2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x), x)
 
 
-def quantum_rate(i_s: float, q: QuantumDetectorParams) -> float:
-    """Idealized linear detector rate eta * k_const * i_s. The classical model
-    matching its strong-signal slope has threshold q.threshold_equivalent."""
-    if i_s < 0:
-        raise ValueError(f"i_s must be >= 0, got {i_s}")
-    return q.eta * q.k_const * i_s
+def rate_point(params: DetectorParams, ctrl: SeriesControl | None = None) -> dict:
+    """The `photofpt rate` record at one parameter point.
+
+    Keys, in order: x, the interval and cube means and rates, and each
+    model's dark excess rate*e_m/i_s - 1 at unit cross section, None at
+    x = 0 where it diverges. The cube values come from one evaluation of F.
+    """
+    x = dimensionless_intensity(params)
+    mean_3d = mean_fpt_3d(params, ctrl)
+    rate = _rate(params.cross_section, mean_3d)
+    excess_3d = None
+    if x > 0:
+        excess_3d = _finite_excess(_rate(1.0, mean_3d) * params.e_m / params.i_s - 1.0, x)
+    return {
+        "x": x,
+        "mean_fpt_1d": mean_fpt_1d(params),
+        "mean_fpt_3d": mean_3d,
+        "rate_1d": rate_1d(params),
+        "rate_3d": rate,
+        "dark_fraction_1d": dark_fraction(x) if x > 0 else None,
+        "dark_fraction_3d": excess_3d,
+    }

@@ -22,7 +22,6 @@ from .params import (
     DEFAULT_SEED,
     DetectorParams,
     QuadratureError,
-    QuantumDetectorParams,
     SeriesControl,
     TruncationError,
     dimensionless_intensity,
@@ -97,44 +96,31 @@ def _params(args) -> DetectorParams:
                           cross_section=args.cross_section)
 
 
-def _rate_payload(params: DetectorParams, ctrl: SeriesControl) -> dict:
-    """Rates, means and dark excesses at one point, with one evaluation of
-    the cube series; the excesses are None at x = 0, where they diverge."""
-    x = dimensionless_intensity(params)
-    mean_3d, rate_3d, excess_3d = analytic._point_3d(params, ctrl)
-    return {
-        "x": x,
-        "mean_fpt_1d": analytic.mean_fpt_1d(params),
-        "mean_fpt_3d": mean_3d,
-        "rate_1d": analytic.rate_1d(params),
-        "rate_3d": rate_3d,
-        "dark_fraction_1d": analytic.dark_fraction(x, 1) if x > 0 else None,
-        "dark_fraction_3d": excess_3d,
-    }
-
-
 def cmd_rate(args) -> int:
-    params = _params(args)
-    _print_json(_rate_payload(params, SeriesControl()))
+    _print_json(analytic.rate_point(_params(args)))
     return EXIT_OK
 
 
 def build_rate_curve(e_m: float, sigma: float, cross_section: float,
                      xs, ctrl: SeriesControl) -> RateCurve:
     """One row per grid intensity x, its columns those of `photofpt rate`
-    at that point; undefined dark excesses become nan."""
+    at that point; undefined dark excesses become nan. rate_quantum is the
+    linear detector's cross_section*i_s/e_m, the strong-signal limit of
+    both models."""
     # rejects a bad e_m before anything divides by it
     DetectorParams(e_m=e_m, sigma=sigma, cross_section=cross_section)
-    quantum = QuantumDetectorParams(eta=1.0, k_const=1.0 / e_m)
+    # the cross section multiplies last: cross_section*i_s can overflow
+    # where the rate itself is finite
+    slope = 1.0 / e_m
     rows = []
     for x in sorted(float(v) for v in xs):
         params = params_for_intensity(x, e_m, sigma, cross_section)
-        point = _rate_payload(params, ctrl)
+        point = analytic.rate_point(params, ctrl)
         rows.append((
             params.i_s,
             point["rate_1d"],
             point["rate_3d"],
-            analytic.quantum_rate(params.i_s, quantum),
+            cross_section * (slope * params.i_s),
             *(math.nan if point[k] is None else point[k]
               for k in ("dark_fraction_1d", "dark_fraction_3d")),
         ))

@@ -19,6 +19,8 @@ from .params import AtomModel, QuadratureError, SeriesControl
 
 _PREF = 2.0 / (3.0 * math.pi)
 G0 = 1.0 / (18.0 * math.pi)
+# tolerances of both quadratures
+_CTRL = SeriesControl()
 
 # reference figures quoted elsewhere for the natural-unit noise amplitude;
 # kept for reporting, not used in any computation
@@ -26,10 +28,10 @@ REPORTED_SIGMA_CONSTANT = 2.12e-4
 REPORTED_SIGMA_ORDER = 1e-3
 
 
-def _check_quad(result, what: str, ctrl: SeriesControl, value: float) -> None:
+def _check_quad(result, what: str) -> None:
     if len(result) > 3:
         raise QuadratureError(f"{what}: {result[3]}")
-    if result[1] > ctrl.tolerance_for(value):
+    if result[1] > _CTRL.tolerance_for(result[0]):
         raise QuadratureError(
             f"{what}: reported error {result[1]:.3e} exceeds tolerance")
 
@@ -94,21 +96,16 @@ def moment_integral_exact() -> float:
     return 0.5 * float(_beta(3.5, 4.5))
 
 
-def moment_integral(ctrl: SeriesControl | None = None) -> tuple[float, float]:
+def moment_integral() -> tuple[float, float]:
     """The spectral moment int_0^inf x^6/(x^2+1)^8 dx by quadrature and by
-    the half-Beta closed form, asserting they agree to 1e-10.
+    the half-Beta closed form; check 10 judges their agreement.
 
     Returns (quadrature, closed_form).
     """
-    ctrl = ctrl or SeriesControl()
     res = quad(lambda x: x ** 6 / (x * x + 1.0) ** 8, 0.0, np.inf,
-               epsabs=ctrl.abs_tol, epsrel=ctrl.rel_tol, full_output=True)
-    _check_quad(res, "moment_integral", ctrl, res[0])
-    exact = moment_integral_exact()
-    if abs(res[0] - exact) > 1e-10:
-        raise QuadratureError(
-            f"moment integral routes disagree: quadrature {res[0]!r} vs closed form {exact!r}")
-    return float(res[0]), exact
+               epsabs=_CTRL.abs_tol, epsrel=_CTRL.rel_tol, full_output=True)
+    _check_quad(res, "moment_integral")
+    return float(res[0]), moment_integral_exact()
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ class SigmaEstimate:
         return self.sigma_freq * self.unit_scale
 
 
-def sigma_const(atom: AtomModel, ctrl: SeriesControl | None = None) -> SigmaEstimate:
+def sigma_const(atom: AtomModel) -> SigmaEstimate:
     """Noise amplitude sigma from the correlation function, two ways.
 
     Time domain: sigma^2 = (1/4 pi^2) int_0^inf g(tau)^2 dtau.
@@ -151,14 +148,12 @@ def sigma_const(atom: AtomModel, ctrl: SeriesControl | None = None) -> SigmaEsti
     The two must agree to 1e-6 relative; neither is fitted to the reference
     figures, which are merely reported for comparison.
     """
-    ctrl = ctrl or SeriesControl()
-
-    res = quad(lambda tau: g_tau(tau) ** 2, 0.0, np.inf, epsabs=ctrl.abs_tol,
-               epsrel=ctrl.rel_tol, limit=200, full_output=True)
-    _check_quad(res, "sigma_const time route", ctrl, res[0])
+    res = quad(lambda tau: g_tau(tau) ** 2, 0.0, np.inf, epsabs=_CTRL.abs_tol,
+               epsrel=_CTRL.rel_tol, limit=200, full_output=True)
+    _check_quad(res, "sigma_const time route")
     sigma_sq_time = float(res[0]) / (4.0 * math.pi ** 2)
 
-    moment, _ = moment_integral(ctrl)
+    moment, _ = moment_integral()
     sigma_sq_freq = (math.pi / 2.0) * _PREF ** 2 * moment / (4.0 * math.pi ** 2)
 
     rel = abs(sigma_sq_time - sigma_sq_freq) / sigma_sq_freq

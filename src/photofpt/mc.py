@@ -376,4 +376,7 @@ def zscore(analytic: float, est: FPTEstimate) -> float:
     """Standardized deviation (est.mean - analytic)/est.std_err."""
     if est.n_absorbed < 2:
         raise ValueError("z-score needs at least 2 absorbed paths")
+    # every path absorbed at the same step leaves no spread to scale by
+    if not est.std_err > 0:
+        raise ValueError(f"z-score needs a positive standard error, got {est.std_err}")
     return (est.mean - analytic) / est.std_err

@@ -67,8 +67,10 @@ class DetectorParams:
             ts = self.time_scale
         except OverflowError:
             ts = math.inf
-        if not 0 < ts < math.inf:
-            raise ValueError(f"e_m**2/sigma**2 must be a positive finite number, got {ts} "
+        # a subnormal time scale carries fewer digits into every mean and rate
+        if not sys.float_info.min <= ts < math.inf:
+            raise ValueError(f"e_m**2/sigma**2 must be finite and at least the smallest normal "
+                             f"double {sys.float_info.min:g}, got {ts} "
                              f"for e_m={self.e_m}, sigma={self.sigma}")
         x = dimensionless_intensity(self)
         if not math.isfinite(x):
@@ -128,26 +130,6 @@ class SeriesControl:
 
     def tolerance_for(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
-
-
-@dataclass(frozen=True)
-class QuantumDetectorParams:
-    """Idealized linear detector: rate = eta * k_const * i_s."""
-
-    eta: float
-    k_const: float
-
-    def __post_init__(self):
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if not self.k_const > 0:
-            raise ValueError(f"k_const must be > 0, got {self.k_const}")
-
-    @property
-    def threshold_equivalent(self) -> float:
-        """The threshold e_m = 1/(k_const*eta) at which the classical model
-        reproduces this detector's high-intensity rate."""
-        return 1.0 / (self.k_const * self.eta)
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,13 @@ from .params import (
 # independent oracles
 
 def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
-                    nx: int = 4001, dt_hint: float = 2.5e-4) -> float:
+                    nx: int = 4001) -> float:
     """Survival at t_target from a Crank-Nicolson solve of the density
     equation df/dt = (sigma^2/2) f'' - drift f' with absorbing ends +-e_m.
 
     The delta initial condition is replaced by the exact free Gaussian at a
     small warm-up time t0 = e_m^2/(32 sigma^2); the march then uses an
-    integer number of steps landing exactly on t_target.
+    integer number of steps of at most 2.5e-4 landing exactly on t_target.
     """
     a = params.e_m
     diff = 0.5 * params.sigma ** 2
@@ -54,7 +54,7 @@ def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
     f = np.exp(-(x - drift * t0) ** 2 / (2.0 * var0)) / math.sqrt(2.0 * math.pi * var0)
     f[0] = f[-1] = 0.0
 
-    nsteps = max(64, int(math.ceil((t_target - t0) / dt_hint)))
+    nsteps = max(64, int(math.ceil((t_target - t0) / 2.5e-4)))
     dt = (t_target - t0) / nsteps
     al = diff * dt / (2.0 * dx * dx)
     be = drift * dt / (4.0 * dx)
@@ -211,8 +211,8 @@ def check_02_cube_mc(seed: int) -> CheckResult:
 
 
 def check_03_dark_3d_constants(seed: int) -> CheckResult:
-    params = params_for_intensity(0.0)
-    mean, rate, _ = analytic._point_3d(params)
+    point = analytic.rate_point(params_for_intensity(0.0))
+    mean, rate = point["mean_fpt_3d"], point["rate_3d"]
     ok = abs(mean - 0.49) <= 0.005 and abs(rate - 2.0) <= 0.02
     return CheckResult(
         expected="mean 0.490 +- 0.005, rate 2.00 +- 0.02 (units e_m^2/sigma^2 and its inverse)",
@@ -252,7 +252,7 @@ def check_05_high_rate(seed: int) -> CheckResult:
 
 
 def check_06_dark_threshold(seed: int) -> CheckResult:
-    val = analytic.dark_fraction(1.5, dimension=1)
+    val = analytic.dark_fraction(1.5)
     ok = 0.10 < val < 0.11
     return CheckResult(
         expected="coth(1.5) - 1 in (0.10, 0.11)",

@@ -22,16 +22,15 @@ from photofpt.analytic import (
     f3_series,
     mean_fpt_1d,
     mean_fpt_3d,
-    quantum_rate,
     rate_1d,
     rate_1d_asymptotic,
     rate_3d,
+    rate_point,
     survival_3d,
 )
 from photofpt.mc import MCConfig, _sample_times
 from photofpt.params import (
     DetectorParams,
-    QuantumDetectorParams,
     SeriesControl,
     TruncationError,
     params_for_intensity,
@@ -333,7 +332,8 @@ def test_dark_fraction_values():
     assert dark_fraction(0.5) == pytest.approx(1.163953413738653, rel=1e-12)
     # 1D excess is coth(x) - 1 at unit cross section
     assert dark_fraction(1.5) == pytest.approx(1.0 / math.tanh(1.5) - 1.0, rel=1e-13)
-    assert dark_fraction(1.5, 3) == pytest.approx(0.7509369377849684, rel=1e-12)
+    assert rate_point(params_for_intensity(1.5))["dark_fraction_3d"] == pytest.approx(
+        0.7509369377849684, rel=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.5, 10.0, 20.0, 50.0, 300.0])
@@ -352,29 +352,14 @@ def test_dark_fraction_rejects_bad_input():
         dark_fraction(0.0)
     with pytest.raises(ValueError):
         dark_fraction(-1.0)
-    with pytest.raises(ValueError):
-        dark_fraction(1.0, dimension=2)
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
 def test_dark_fraction_decreases_with_intensity(dimension):
     xs = [0.3, 0.7, 1.5, 3.0, 6.0]
-    vals = [dark_fraction(x, dimension) for x in xs]
+    vals = [dark_fraction(x) if dimension == 1
+            else rate_point(params_for_intensity(x))["dark_fraction_3d"] for x in xs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_quantum_rate_linear():
-    q = QuantumDetectorParams(eta=0.5, k_const=2.0)
-    assert quantum_rate(3.0, q) == 3.0
-    assert quantum_rate(0.0, q) == 0.0
-    with pytest.raises(ValueError):
-        quantum_rate(-1.0, q)
-
-
-def test_quantum_slope_matches_classical_high_intensity():
-    q = QuantumDetectorParams(eta=1.0, k_const=1.0)
-    p = DetectorParams(e_m=q.threshold_equivalent, sigma=1.0, i_s=20.0)
-    assert rate_1d(p) == pytest.approx(quantum_rate(20.0, q), rel=1e-12)
 
 
 @pytest.mark.xfail(strict=True,

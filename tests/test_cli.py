@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from photofpt import analytic, field, validation
 from photofpt.analytic import mean_fpt_3d, rate_1d, rate_3d
@@ -97,6 +97,9 @@ def _one_error_line(err: str) -> bool:
     ("mc", "--paths", "100", "--max-time", "1e308"),  # max_time/dt overflows
     ("sweep", "--em", "1e-160", "--sigma", "1e-160", "--points", "2"),  # subnormal squares
     ("sweep", "--em", "0", "--points", "3"),         # 1/e_m for the linear detector
+    ("rate", "--em", "1e-150", "--sigma", "1e11",
+     "--cross-section", "1e-20"),                    # subnormal e_m**2/sigma**2
+    ("mc", "--is", "1e12", "--dt", "4.7e-14", "--paths", "100"),  # zero standard error
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -141,6 +144,44 @@ def test_grid_flags_exit_0_or_2(command, x_min, x_max, points, grid):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def _mc_dt(em, sigma, i_s, fraction):
+    """A fraction of the largest step MCConfig allows, or 1e-3 where that
+    bound is not a positive finite number."""
+    with np.errstate(all="ignore"):
+        em, sigma, i_s = np.float64(em), np.float64(sigma), np.float64(i_s)
+        bound = float(min(0.01 * em * em / (sigma * sigma), 0.05 * em / i_s))
+    return fraction * bound if 0 < bound < math.inf else 1e-3
+
+
+# most draws are rejected flags; 200 examples reach a run whose paths all
+# hit at one step
+@settings(max_examples=200)
+@given(em=st.floats(), sigma=st.floats(), i_s=st.floats(), cross_section=st.floats(),
+       dim_boundary=st.sampled_from([(1, None), (1, "interval"), (3, None), (3, "cube"),
+                                     (3, "sphere")]),
+       fraction=st.floats(0.5, 1.0), seed=st.integers())
+def test_mc_flags_exit_0_or_one_error_line(em, sigma, i_s, cross_section, dim_boundary,
+                                           fraction, seed):
+    """Any parameter floats and seed, a step of at most the allowed one:
+    finite JSON (exit 0, or exit 3 with the censoring line), or exit 2 or 3
+    with one error line."""
+    dim, boundary = dim_boundary
+    argv = ["mc", f"--em={em!r}", f"--sigma={sigma!r}", f"--is={i_s!r}",
+            f"--cross-section={cross_section!r}", "--dim", str(dim), "--paths", "100",
+            f"--seed={seed}", f"--dt={_mc_dt(em, sigma, i_s, fraction)!r}"]
+    if boundary is not None:
+        argv += ["--boundary", boundary]
+    code, out, err = _run_quietly(argv)
+    if out == "":
+        assert code in (EXIT_USAGE, EXIT_QUALITY)
+        assert _one_error_line(err), err
+        return
+    assert code in (EXIT_OK, EXIT_QUALITY)
+    json.loads(out, parse_constant=_reject_constant)
+    assert err == ("" if code == EXIT_OK else
+                   "censoring above 0.1%: estimates unreliable, raise --max-time\n")
 
 
 @given(em=st.floats(), sigma=st.floats(), i_s=st.floats(), cross_section=st.floats())
@@ -293,6 +334,14 @@ def test_sweep_single_point_matches_rate(capsys):
     assert row[3] == rate["x"]
     assert row[4] == rate["dark_fraction_1d"]
     assert row[5] == rate["dark_fraction_3d"]
+
+
+def test_linear_rate_column_is_the_strong_signal_limit(capsys):
+    _, out, _ = run_cli(capsys, "sweep", "--x-min", "50", "--x-max", "100", "--points", "2",
+                        "--cross-section", "2", "--format", "json")
+    row = json.loads(out)["rows"][-1]
+    assert row[0] == 100.0
+    assert row[1] / row[3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_one_series_evaluation_per_rate_point(monkeypatch, capsys):

@@ -8,7 +8,6 @@ from photofpt.params import (
     DEFAULT_SEED,
     AtomModel,
     DetectorParams,
-    QuantumDetectorParams,
     SeriesControl,
     dimensionless_intensity,
     params_for_intensity,
@@ -47,6 +46,7 @@ def test_time_scale_units():
     dict(e_m=1e-160, sigma=1.0),
     dict(e_m=1.0, sigma=1e-160),
     dict(e_m=1e10, sigma=1.0, i_s=1e300),  # i_s*e_m/sigma**2 overflows
+    dict(e_m=1e-150, sigma=1e11),  # normal squares, subnormal time scale
 ])
 def test_rejects_bad_detector_values(kwargs):
     with pytest.raises(ValueError):
@@ -91,18 +91,6 @@ def test_tolerance_floor():
 def test_series_control_validation(kwargs):
     with pytest.raises(ValueError):
         SeriesControl(**kwargs)
-
-
-def test_quantum_threshold_equivalent():
-    q = QuantumDetectorParams(eta=0.5, k_const=2.0)
-    assert q.threshold_equivalent == 1.0
-    assert QuantumDetectorParams(eta=1.0, k_const=4.0).threshold_equivalent == 0.25
-
-
-@pytest.mark.parametrize("eta,k", [(0.0, 1.0), (1.5, 1.0), (-0.1, 1.0), (0.5, 0.0)])
-def test_quantum_params_validation(eta, k):
-    with pytest.raises(ValueError):
-        QuantumDetectorParams(eta=eta, k_const=k)
 
 
 def test_sigma_unit_scaling():
