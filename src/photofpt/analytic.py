@@ -63,20 +63,6 @@ def rate_1d(params: DetectorParams) -> float:
     return _rate(params.cross_section, mean_fpt_1d(params))
 
 
-def rate_1d_asymptotic(params: DetectorParams, regime: str) -> float:
-    """Limiting 1D rates, for cross-checks only.
-
-    regime "high": (i_s/e_m)(1 + 2 exp(-2x)), the strong-signal expansion.
-    regime "low": sigma**2/e_m**2, the dark rate at zero intensity.
-    """
-    x = dimensionless_intensity(params)
-    if regime == "high":
-        return params.cross_section * (params.i_s / params.e_m) * (1.0 + 2.0 * math.exp(-2.0 * x))
-    if regime == "low":
-        return params.cross_section * params.sigma ** 2 / params.e_m ** 2
-    raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
-
-
 @functools.lru_cache(maxsize=16)
 def _euler_weights(n: int) -> np.ndarray:
     """Read-only binomial weights C(m, j)/2**m, j = 0..m, for m = n - 2.

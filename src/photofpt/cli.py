@@ -82,22 +82,19 @@ def _print_json(obj) -> None:
     sys.stdout.write(_json_text(obj))
 
 
-def _add_param_flags(sub) -> None:
+def _add_param_flags(sub, cross_section: bool = True) -> None:
     sub.add_argument("--em", type=float, default=1.0, help="absorption threshold e_m (default 1)")
     sub.add_argument("--sigma", type=float, default=1.0, help="noise amplitude (default 1)")
     sub.add_argument("--is", dest="i_s", type=float, default=0.0,
                      help="signal intensity i_s (default 0; equals x when em=sigma=1)")
-    sub.add_argument("--cross-section", type=float, default=1.0,
-                     help="area factor on rates (default 1)")
-
-
-def _params(args) -> DetectorParams:
-    return DetectorParams(e_m=args.em, sigma=args.sigma, i_s=args.i_s,
-                          cross_section=args.cross_section)
+    if cross_section:
+        sub.add_argument("--cross-section", type=float, default=1.0,
+                         help="area factor on rates (default 1)")
 
 
 def cmd_rate(args) -> int:
-    _print_json(analytic.rate_point(_params(args)))
+    _print_json(analytic.rate_point(DetectorParams(e_m=args.em, sigma=args.sigma, i_s=args.i_s,
+                                                   cross_section=args.cross_section)))
     return EXIT_OK
 
 
@@ -179,7 +176,8 @@ def _estimate_payload(est: mc.FPTEstimate) -> dict:
 
 
 def cmd_mc(args) -> int:
-    params = _params(args)
+    # mc reports means, not rates, so it takes no cross section
+    params = DetectorParams(e_m=args.em, sigma=args.sigma, i_s=args.i_s)
     boundary = args.boundary
     if boundary is None:
         boundary = "interval" if args.dim == 1 else "cube"
@@ -187,15 +185,7 @@ def cmd_mc(args) -> int:
                          seed=args.seed, dimension=args.dim, boundary=boundary,
                          max_time=args.max_time)
     rich = mc.simulate_fpt_richardson(config)
-
-    if config.dimension == 1:
-        ref = analytic.mean_fpt_1d(params)
-    elif boundary == "cube":
-        ref = analytic.mean_fpt_3d(params)
-    elif params.i_s == 0:
-        ref = validation.radial_mean_exit_time(params.e_m, params.sigma)
-    else:
-        ref = None  # no analytic value for the drifted sphere
+    ref = validation.reference_mean(params, boundary)
     payload = {
         "boundary": boundary, "dimension": config.dimension,
         "x": dimensionless_intensity(params),
@@ -225,10 +215,10 @@ def cmd_field(args) -> int:
         "sigma_natural_frequency_domain": est.sigma_freq,
         "rel_disagreement": est.rel_disagreement,
         "consistent_1e-6": est.consistent,
-        "unit": est.unit,
+        "unit": field.SIGMA_UNIT,
         "reference_figures": {
-            "quoted constant": est.reported_constant,
-            "quoted order of magnitude": est.reported_order,
+            "quoted constant": field.REPORTED_SIGMA_CONSTANT,
+            "quoted order of magnitude": field.REPORTED_SIGMA_ORDER,
         },
         "note": est.note,
     }
@@ -272,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_mc = sub.add_parser("mc", help="Richardson-extrapolated first-passage simulation")
-    _add_param_flags(p_mc)
+    _add_param_flags(p_mc, cross_section=False)
     p_mc.add_argument("--dim", type=int, choices=(1, 3), default=1)
     p_mc.add_argument("--boundary", choices=("interval", "cube", "sphere"), default=None,
                       help="default: interval for --dim 1, cube for --dim 3")

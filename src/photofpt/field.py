@@ -26,6 +26,8 @@ _CTRL = SeriesControl()
 # kept for reporting, not used in any computation
 REPORTED_SIGMA_CONSTANT = 2.12e-4
 REPORTED_SIGMA_ORDER = 1e-3
+# the physical unit of sigma_freq * unit_scale
+SIGMA_UNIT = "hbar * c**1.5 / a**3.5"
 
 
 def _check_quad(result, what: str) -> None:
@@ -114,20 +116,14 @@ class SigmaEstimate:
 
     sigma_time comes from integrating the squared lag correlation,
     sigma_freq from the Parseval reduction to the spectral moment; both are
-    in natural units (multiply by unit_scale for physical units).
-    consistent is the internal cross-check, independent of the reference
-    figures quoted alongside.
+    in natural units (multiply by unit_scale for SIGMA_UNIT). consistent is
+    the internal cross-check, independent of the reference figures quoted
+    in the note.
     """
-    sigma_sq_time: float
-    sigma_sq_freq: float
     sigma_time: float
     sigma_freq: float
     rel_disagreement: float
-    consistent: bool
     unit_scale: float
-    unit: str
-    reported_constant: float
-    reported_order: float
     note: str
 
     @property
@@ -135,8 +131,8 @@ class SigmaEstimate:
         return self.sigma_freq
 
     @property
-    def sigma_physical(self) -> float:
-        return self.sigma_freq * self.unit_scale
+    def consistent(self) -> bool:
+        return self.rel_disagreement < 1e-6
 
 
 def sigma_const(atom: AtomModel) -> SigmaEstimate:
@@ -164,16 +160,5 @@ def sigma_const(atom: AtomModel) -> SigmaEstimate:
         "disagree both with this value and with each other; the acceptance anchor "
         "is the internal agreement of the two computation routes"
     )
-    return SigmaEstimate(
-        sigma_sq_time=sigma_sq_time,
-        sigma_sq_freq=sigma_sq_freq,
-        sigma_time=math.sqrt(sigma_sq_time),
-        sigma_freq=sigma_freq,
-        rel_disagreement=rel,
-        consistent=rel < 1e-6,
-        unit_scale=atom.sigma_unit,
-        unit="hbar * c**1.5 / a**3.5",
-        reported_constant=REPORTED_SIGMA_CONSTANT,
-        reported_order=REPORTED_SIGMA_ORDER,
-        note=note,
-    )
+    return SigmaEstimate(sigma_time=math.sqrt(sigma_sq_time), sigma_freq=sigma_freq,
+                         rel_disagreement=rel, unit_scale=atom.sigma_unit, note=note)

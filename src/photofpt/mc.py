@@ -125,15 +125,6 @@ class FPTEstimate:
     def unreliable(self) -> bool:
         return self.censored_fraction > 1e-3
 
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, n_censored: int, dt_used: float) -> "FPTEstimate":
-        n = samples.size
-        if n < 2:
-            raise ValueError("need at least 2 absorbed paths for a standard error")
-        return cls(mean=float(samples.mean()),
-                   std_err=float(samples.std(ddof=1) / math.sqrt(n)),
-                   n_absorbed=n, n_censored=n_censored, dt_used=dt_used)
-
 
 @dataclass(frozen=True)
 class RichardsonFPT:
@@ -297,7 +288,13 @@ def _sample_times(config: MCConfig, dt: float) -> np.ndarray:
 def _estimate(times: np.ndarray, dt: float) -> FPTEstimate:
     """Moments of the absorbed paths; a nan time marks a censored path."""
     censored = np.isnan(times)
-    return FPTEstimate.from_samples(times[~censored], int(censored.sum()), dt)
+    samples = times[~censored]
+    n = samples.size
+    if n < 2:
+        raise ValueError("need at least 2 absorbed paths for a standard error")
+    return FPTEstimate(mean=float(samples.mean()),
+                       std_err=float(samples.std(ddof=1) / math.sqrt(n)),
+                       n_absorbed=n, n_censored=int(censored.sum()), dt_used=dt)
 
 
 def simulate_fpt(config: MCConfig) -> FPTEstimate:

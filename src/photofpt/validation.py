@@ -77,21 +77,32 @@ def radial_mean_exit_time(e_m: float, sigma: float, nr: int = 4001) -> float:
     diff = 0.5 * sigma * sigma
     dr = e_m / (nr - 1)
     m = nr - 1
+    c_lap = diff / dr ** 2
+    # grid rows j = 1 .. m-1 at r = j dr; row m is the absorbing end u = 0
+    c_drv = diff / (np.arange(1, m) * dr * dr)
     ab = np.zeros((3, m))
-    rhs = np.full(m, -1.0)
+    ab[2, :-1] = c_lap - c_drv
+    ab[1, 1:] = -2.0 * c_lap
+    ab[0, 2:] = (c_lap + c_drv)[:-1]
     # r = 0: the radial Laplacian degenerates to 3 u''(0) with symmetric ghost
     ab[1, 0] = -6.0 * diff / dr ** 2
     ab[0, 1] = 6.0 * diff / dr ** 2
-    for j in range(1, m):
-        r = j * dr
-        c_lap = diff / dr ** 2
-        c_drv = diff / (r * dr)
-        ab[2, j - 1] = c_lap - c_drv
-        ab[1, j] = -2.0 * c_lap
-        if j + 1 < m:
-            ab[0, j + 1] = c_lap + c_drv
-    u = solve_banded((1, 1), ab, rhs)
+    u = solve_banded((1, 1), ab, np.full(m, -1.0))
     return float(u[0])
+
+
+def reference_mean(params: DetectorParams, boundary: str) -> float | None:
+    """The non-sampled mean that a Monte Carlo run on `boundary` is judged
+    against: the closed form on the interval, the double series on the
+    cube, the radial solve on the driftless sphere, and None on the drifted
+    sphere, which has no such value here."""
+    if boundary == "interval":
+        return analytic.mean_fpt_1d(params)
+    if boundary == "cube":
+        return analytic.mean_fpt_3d(params)
+    if boundary != "sphere":
+        raise ValueError(f"no reference mean for boundary {boundary!r}")
+    return None if params.i_s else radial_mean_exit_time(params.e_m, params.sigma)
 
 
 def mean_fpt_quadrature(params: DetectorParams, ctrl: SeriesControl | None,
@@ -169,45 +180,42 @@ def _z_line(pairs) -> str:
     return ", ".join(f"x={x:g}: z={z:+.2f}" for x, z in pairs)
 
 
-def _pair_line(config: mc.MCConfig) -> str:
-    return (f"Richardson pairs at dt = {config.dt:g} and {config.dt / 2:g}, "
-            f"{config.n_paths} paths")
+def _richardson_legs(seed: int, xs, boundary: str,
+                     n_paths: int = 100_000) -> tuple[list[tuple[float, float, float]], str]:
+    """Richardson pairs at dt = 5e-3 on `boundary`, intensity xs[i] on seed
+    seed + i: each x with its reference_mean and the z of the extrapolated
+    mean against it, and a line stating the pairs' steps and paths."""
+    legs = []
+    for i, x in enumerate(xs):
+        params = params_for_intensity(x)
+        config = mc.MCConfig(params=params, dt=5e-3, n_paths=n_paths, seed=seed + i,
+                             dimension=1 if boundary == "interval" else 3, boundary=boundary)
+        rich = mc.simulate_fpt_richardson(config)
+        ref = reference_mean(params, boundary)
+        legs.append((x, ref, mc.zscore(ref, rich.extrapolated)))
+    return legs, (f"Richardson pairs at dt = {config.dt:g} and {config.dt / 2:g}, "
+                  f"{config.n_paths} paths")
+
+
+def _richardson_check(seed: int, xs, boundary: str, source: str) -> CheckResult:
+    legs, pairs = _richardson_legs(seed, xs, boundary)
+    worst = max(abs(z) for _, _, z in legs)
+    return CheckResult(
+        expected="|z| <= 3 at x in {" + ", ".join(f"{x:g}" for x in xs) + "}",
+        observed=f"max |z| = {worst:.2f}",
+        tolerance="3 standard errors", passed=worst <= 3.0,
+        source=source,
+        detail=_z_line((x, z) for x, _, z in legs) + "; " + pairs)
 
 
 def check_01_interval_mc(seed: int) -> CheckResult:
-    xs = (0.0, 0.5, 1.0, 2.0, 5.0)
-    zs = []
-    for i, x in enumerate(xs):
-        params = params_for_intensity(x)
-        config = mc.MCConfig(params=params, dt=5e-3, n_paths=100_000,
-                             seed=seed + i, dimension=1, boundary="interval")
-        rich = mc.simulate_fpt_richardson(config)
-        zs.append((x, mc.zscore(analytic.mean_fpt_1d(params), rich.extrapolated)))
-    worst = max(abs(z) for _, z in zs)
-    return CheckResult(
-        expected="|z| <= 3 at x in {0, 0.5, 1, 2, 5}",
-        observed=f"max |z| = {worst:.2f}",
-        tolerance="3 standard errors", passed=worst <= 3.0,
-        source="closed form (e_m/i_s) tanh(x)",
-        detail=_z_line(zs) + "; " + _pair_line(config))
+    return _richardson_check(seed, (0.0, 0.5, 1.0, 2.0, 5.0), "interval",
+                             "closed form (e_m/i_s) tanh(x)")
 
 
 def check_02_cube_mc(seed: int) -> CheckResult:
-    xs = (0.0, 1.0, 3.0)
-    zs = []
-    for i, x in enumerate(xs):
-        params = params_for_intensity(x)
-        config = mc.MCConfig(params=params, dt=5e-3, n_paths=100_000,
-                             seed=seed + 100 + i, dimension=3, boundary="cube")
-        rich = mc.simulate_fpt_richardson(config)
-        zs.append((x, mc.zscore(analytic.mean_fpt_3d(params), rich.extrapolated)))
-    worst = max(abs(z) for _, z in zs)
-    return CheckResult(
-        expected="|z| <= 3 at x in {0, 1, 3}",
-        observed=f"max |z| = {worst:.2f}",
-        tolerance="3 standard errors", passed=worst <= 3.0,
-        source="double series (128/pi^4) F(x)",
-        detail=_z_line(zs) + "; " + _pair_line(config))
+    return _richardson_check(seed + 100, (0.0, 1.0, 3.0), "cube",
+                             "double series (128/pi^4) F(x)")
 
 
 def check_03_dark_3d_constants(seed: int) -> CheckResult:
@@ -395,12 +403,7 @@ def check_13_sphere_cube(seed: int) -> CheckResult:
         pathwise_ok &= comp.pathwise_sphere_le_cube
         ratios.append((x, comp.ratio, comp.ratio_err))
 
-    params0 = params_for_intensity(0.0)
-    sphere_cfg = mc.MCConfig(params=params0, dt=5e-3, n_paths=30_000,
-                             seed=seed + 310, dimension=3, boundary="sphere")
-    rich = mc.simulate_fpt_richardson(sphere_cfg)
-    oracle = radial_mean_exit_time(params0.e_m, params0.sigma)
-    z = mc.zscore(oracle, rich.extrapolated)
+    [(_, oracle, z)], pairs = _richardson_legs(seed + 310, (0.0,), "sphere", 30_000)
 
     ok = mean_ok and pathwise_ok and abs(z) <= 3.0
     return CheckResult(
@@ -412,7 +415,7 @@ def check_13_sphere_cube(seed: int) -> CheckResult:
         source="containment + radial finite-difference oracle",
         detail="; ".join(f"x={x:g}: sphere/cube = {r:.4f} +- {e:.1e}" for x, r, e in ratios)
                + f" at dt = {base.dt:g}, {base.n_paths} paths; radial oracle mean "
-               f"{oracle:.6f} e_m^2/sigma^2; sphere " + _pair_line(sphere_cfg))
+               f"{oracle:.6f} e_m^2/sigma^2; sphere " + pairs)
 
 
 CRITERIA: tuple[tuple[int, str, object], ...] = (
@@ -444,6 +447,9 @@ def run_check(cid: int, seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def run_all(seed: int = DEFAULT_SEED, progress=None) -> ValidationReport:
+    if not 0 <= seed < 2 ** 64 - 310:
+        raise ValueError(f"the checks seed runs with seed to seed + 310, so the seed must "
+                         f"be in [0, 2**64 - 311], got {seed}")
     report = ValidationReport(seed=seed)
     for cid, _, _ in CRITERIA:
         result = run_check(cid, seed)

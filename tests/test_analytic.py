@@ -23,7 +23,6 @@ from photofpt.analytic import (
     mean_fpt_1d,
     mean_fpt_3d,
     rate_1d,
-    rate_1d_asymptotic,
     rate_3d,
     rate_point,
     survival_3d,
@@ -81,24 +80,6 @@ def test_rate_scales_with_cross_section():
 def test_rate_1d_unit_intensity_is_coth():
     assert rate_1d(params_for_intensity(1.0)) == pytest.approx(
         1.0 / math.tanh(1.0), rel=1e-14)
-
-
-def test_asymptotic_high_matches_exact_rate():
-    p = params_for_intensity(10.0)
-    assert rate_1d_asymptotic(p, "high") == pytest.approx(rate_1d(p), rel=1e-12)
-
-
-def test_asymptotic_low_is_dark_rate():
-    p = DetectorParams(e_m=2.0, sigma=0.5)
-    assert rate_1d_asymptotic(p, "low") == pytest.approx(rate_1d(p), rel=1e-15)
-    # and stays within O(x^2/3) of the exact rate near zero
-    q = params_for_intensity(0.01)
-    assert rate_1d_asymptotic(q, "low") == pytest.approx(rate_1d(q), rel=1e-4)
-
-
-def test_asymptotic_rejects_unknown_regime():
-    with pytest.raises(ValueError):
-        rate_1d_asymptotic(UNIT, "medium")
 
 
 @pytest.mark.parametrize("t", [0.5, 10.0])

@@ -158,18 +158,17 @@ def _mc_dt(em, sigma, i_s, fraction):
 # most draws are rejected flags; 200 examples reach a run whose paths all
 # hit at one step
 @settings(max_examples=200)
-@given(em=st.floats(), sigma=st.floats(), i_s=st.floats(), cross_section=st.floats(),
+@given(em=st.floats(), sigma=st.floats(), i_s=st.floats(),
        dim_boundary=st.sampled_from([(1, None), (1, "interval"), (3, None), (3, "cube"),
                                      (3, "sphere")]),
        fraction=st.floats(0.5, 1.0), seed=st.integers())
-def test_mc_flags_exit_0_or_one_error_line(em, sigma, i_s, cross_section, dim_boundary,
-                                           fraction, seed):
+def test_mc_flags_exit_0_or_one_error_line(em, sigma, i_s, dim_boundary, fraction, seed):
     """Any parameter floats and seed, a step of at most the allowed one:
     finite JSON (exit 0, or exit 3 with the censoring line), or exit 2 or 3
     with one error line."""
     dim, boundary = dim_boundary
     argv = ["mc", f"--em={em!r}", f"--sigma={sigma!r}", f"--is={i_s!r}",
-            f"--cross-section={cross_section!r}", "--dim", str(dim), "--paths", "100",
+            "--dim", str(dim), "--paths", "100",
             f"--seed={seed}", f"--dt={_mc_dt(em, sigma, i_s, fraction)!r}"]
     if boundary is not None:
         argv += ["--boundary", boundary]
@@ -281,6 +280,34 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_mc_takes_no_cross_section(capsys):
+    # mc reports means, not rates
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--cross-section", "2"])
+    assert exc.value.code == 2
+    assert "--cross-section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64 - 310, 2 ** 64 - 1, 2 ** 64])
+def test_validate_rejects_seed_before_any_check(monkeypatch, capsys, seed):
+    """The checks seed their runs with seed to seed + 310; a seed whose
+    range leaves 64 bits fails at once, not after the first eleven checks."""
+    ran = []
+    monkeypatch.setattr(validation, "run_check", lambda cid, seed: ran.append(cid))
+    code, out, err = run_cli(capsys, "validate", "--seed", str(seed))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert _one_error_line(err), err
+    assert ran == []
+
+
+def test_validate_accepts_the_largest_seed(monkeypatch):
+    seen = []
+    monkeypatch.setattr(validation, "run_check", lambda cid, seed: seen.append(seed) or _report())
+    validation.run_all(2 ** 64 - 311)
+    assert seen == [2 ** 64 - 311] * len(CRITERIA)
+
+
 def test_sweep_csv_round_trip(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code, _, _ = run_cli(capsys, "sweep", "--x-min", "0", "--x-max", "2",
@@ -385,7 +412,9 @@ def test_field_table_and_report(tmp_path, capsys):
     report = json.loads(report_out)
     assert report["consistent_1e-6"] is True
     assert report["rel_disagreement"] < 1e-6
+    assert report["unit"] == "hbar * c**1.5 / a**3.5"
     assert report["reference_figures"]["quoted constant"] == pytest.approx(2.12e-4)
+    assert report["reference_figures"]["quoted order of magnitude"] == pytest.approx(1e-3)
     assert err == ""
 
 
@@ -419,6 +448,17 @@ def test_mc_sphere_uses_radial_reference(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["analytic_mean"] == pytest.approx(1.0 / 3.0, rel=1e-10)
+
+
+def test_mc_drifted_sphere_has_no_reference(capsys):
+    code, out, _ = run_cli(capsys, "mc", "--dim", "3", "--boundary", "sphere", "--is", "1",
+                           "--dt", "0.005", "--paths", "100", "--seed", "31")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["x"] == 1.0
+    assert payload["extrapolated"]["n_absorbed"] == 100
+    assert payload["analytic_mean"] is None
+    assert payload["z_extrapolated"] is None
 
 
 def test_version_flag(capsys):

@@ -19,6 +19,7 @@ from photofpt.mc import (
     FPTEstimate,
     MCConfig,
     RichardsonFPT,
+    _estimate,
     _sample,
     _sample_times,
     _substreams,
@@ -29,7 +30,7 @@ from photofpt.mc import (
     zscore,
 )
 from photofpt.params import DetectorParams, params_for_intensity
-from photofpt.validation import radial_mean_exit_time
+from photofpt.validation import radial_mean_exit_time, reference_mean
 
 UNIT = DetectorParams(e_m=1.0, sigma=1.0)
 
@@ -158,6 +159,20 @@ def test_richardson_sphere_matches_radial_solver():
     assert abs(zscore(ref, rich.extrapolated)) < 3.0
 
 
+def test_reference_mean_per_boundary():
+    """The mean a run is judged against: closed form, series, radial solve,
+    and none for the drifted sphere."""
+    p = params_for_intensity(1.5)
+    assert reference_mean(p, "interval") == mean_fpt_1d(p)
+    assert reference_mean(p, "cube") == mean_fpt_3d(p)
+    assert reference_mean(UNIT, "sphere") == radial_mean_exit_time(1.0, 1.0)
+    wide = DetectorParams(e_m=2.0, sigma=0.5)
+    assert reference_mean(wide, "sphere") == radial_mean_exit_time(2.0, 0.5)
+    assert reference_mean(p, "sphere") is None
+    with pytest.raises(ValueError):
+        reference_mean(UNIT, "ball")
+
+
 def test_sphere_inside_cube():
     base = MCConfig(params=UNIT, dt=5e-3, n_paths=500, seed=5,
                     dimension=3, boundary="cube")
@@ -221,7 +236,7 @@ def test_event_stream_intervals_are_fpt_samples(stream_x2):
 def test_event_stream_rate_matches_inverse_mean(stream_x2):
     cfg, stream = stream_x2
     gaps = stream.interarrivals()
-    est = FPTEstimate.from_samples(gaps, 0, cfg.dt)
+    est = _estimate(gaps, cfg.dt)
     assert abs(zscore(mean_fpt_1d(cfg.params), est)) < 3.0
 
 
@@ -306,16 +321,19 @@ def test_event_stream_validation():
 
 
 def test_estimate_properties():
-    est = FPTEstimate.from_samples(np.array([1.0, 2.0, 3.0]), 1, 0.01)
+    # a nan time is a censored path
+    est = _estimate(np.array([1.0, np.nan, 2.0, 3.0]), 0.01)
     assert est.mean == 2.0
     assert est.std_err == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
+    assert est.n_absorbed == 3
     assert est.n_paths == 4
     assert est.censored_fraction == 0.25
     assert est.unreliable
-    clean = FPTEstimate.from_samples(np.array([1.0, 2.0]), 0, 0.01)
+    assert est.dt_used == 0.01
+    clean = _estimate(np.array([1.0, 2.0]), 0.01)
     assert not clean.unreliable
     with pytest.raises(ValueError):
-        FPTEstimate.from_samples(np.array([1.0]), 0, 0.01)
+        _estimate(np.array([1.0, np.nan]), 0.01)
 
 
 @pytest.mark.xfail(strict=True,
