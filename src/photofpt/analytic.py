@@ -195,20 +195,23 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     ol = odd[None, :]
     s = ok ** 2 + ol ** 2
     c = 0.25 * math.pi ** 2 * s
+    scale = 1.0
     if x * x < math.inf:
         y = np.sqrt(x * x + c)
-        gap = c / (x + y)
+        g = -np.expm1(np.log1p(np.exp(-2.0 * x)) - np.log1p(np.exp(-2.0 * y)) - c / (x + y))
     else:
-        # y = x to double precision once x*x overflows
-        y = x
-        gap = 0.5 * c / x
-    g = -np.expm1(np.log1p(np.exp(-2.0 * x)) - np.log1p(np.exp(-2.0 * y)) - gap)
+        # once x*x overflows, y = x and G_kl = c/(2x) to double precision;
+        # near x = 1e308 that is subnormal, so the series sums x G_kl = c/2
+        # and the sum is divided by x
+        g = 0.5 * c
+        scale = x
     mag = g / (s * ok * ol)
 
     even = np.arange(ctrl.kl_max) % 2 == 0
     row_val, row_res = _accelerated_alternating_sum(np.where(even, mag, -mag))
     value, outer_res = map(float, _accelerated_alternating_sum(np.where(even, row_val, -row_val)))
-    tail = outer_res + float(row_res.max())
+    value /= scale
+    tail = (outer_res + float(row_res.max())) / scale
     if tail > ctrl.tolerance_for(value):
         raise TruncationError(
             f"double-series tail estimate {tail:.3e} exceeds tolerance at kl_max={ctrl.kl_max}")

@@ -228,10 +228,21 @@ def cmd_field(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path) -> None:
+    """Fail before a long run, not after it, when path cannot be written."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path!r}: it is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise ValueError(f"cannot write {path!r}: {directory!r} is not a writable directory")
+
+
 def cmd_validate(args) -> int:
     def progress(result):
         print(result.line(), flush=True)
 
+    if args.out is not None:
+        _check_writable(args.out)
     report = validation.run_all(seed=args.seed, progress=progress)
     print(report.render_text().splitlines()[-1])
     if args.out is not None:

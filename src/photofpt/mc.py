@@ -15,14 +15,14 @@ Every path draws from its own counter-derived Philox substream, so results
 are a pure function of (config, seed): any path subset, evaluation order or
 worker layout reproduces the single-threaded ensemble bit for bit.
 
-One chunked kernel walks every path. It draws each chunk of a path's
-normals once and feeds every leg that reads them: the dt and dt/2 legs of
-a Richardson pair scale the same normals by their own sigma*sqrt(dt) and
-drift, and the sphere and the cube are tested on the same positions.
+Paths walk in lockstep blocks, each step one numpy call over the block.
+Each chunk of a path's normals is drawn once and feeds every leg that reads
+it: the dt and dt/2 legs of a Richardson pair scale the same normals by
+their own sigma*sqrt(dt) and drift, and the sphere and the cube are tested
+on the same positions.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
@@ -39,17 +39,17 @@ _BOUNDARIES = ("interval", "cube", "sphere")
 # overshoot of a standard Gaussian random walk over a distant level
 BETA = -float(zeta(0.5)) / math.sqrt(2.0 * math.pi)
 
-# Chunk size of the Euler kernel. A path of about mu steps cut into chunks
-# of k steps pays the per-chunk numpy calls about mu/k times and draws about
-# k/2 steps past its exit; k = sqrt(2*c*mu), with c the per-chunk cost in
-# steps, minimises the sum. c is _CHUNK_COST normals, so _CHUNK_COST/dim
-# steps, and mu is the exit-time scale over the smallest dt: the smaller of
-# the driftless mean exit from the inscribed ball, e_m**2/(dim*sigma**2),
-# and the drift time e_m/i_s. No chunk is shorter than _MIN_CHUNK steps.
-# Hit steps do not depend on the chunk size; only the normals drawn past the
-# exit do.
-_CHUNK_COST = 500
-_MIN_CHUNK = 64
+# Lockstep blocks of _BLOCK paths. A path of about mu steps, cut into chunks
+# of k steps, pays its draw call and its share of the block's numpy calls
+# mu/k times and draws about k/2 steps past its exit; k = sqrt(2*c*mu) with
+# c = _CHUNK_COST/dim steps minimises the sum. mu is the exit-time scale at
+# the smallest dt: the smaller of e_m**2/(dim*sigma**2), the driftless mean
+# exit from the inscribed ball, and the drift time e_m/i_s. k >= _MIN_CHUNK,
+# and a block's chunk holds at most _BLOCK_NORMALS normals, to bound memory.
+_BLOCK = 128
+_CHUNK_COST = 32
+_MIN_CHUNK = 16
+_BLOCK_NORMALS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -176,34 +176,38 @@ class EventStream:
         return np.diff(np.concatenate(([0.0], np.asarray(self.event_times))))
 
 
-def _walks(config: MCConfig, dts: tuple[float, ...],
-           boundaries: tuple[str, ...] | None = None) -> Iterator[list[float]]:
-    """Hit times of paths 0, 1, 2, ...: one per (dt, boundary) pair, dt-major,
-    nan where the leg reached its step cap first.
+def _walks(config: MCConfig, dts: tuple[float, ...], boundaries: tuple[str, ...] | None = None,
+           n_paths: int | None = None) -> Iterator[list[float]]:
+    """Hit times of paths 0, 1, 2, ... (up to n_paths; without end if None):
+    one per (dt, boundary) pair, dt-major, nan where the leg reached its step
+    cap first.
 
-    Path i resets one generator to Philox substream i. Each chunk of normals
-    is drawn once: normal k drives step k of the leg at every dt, and every
-    boundary is tested on that leg's positions against that leg's shifted
-    threshold e_m - BETA*sigma*sqrt(dt).
+    Paths walk in blocks of _BLOCK; without an end the blocks double from 1,
+    so a caller that stops early has walked at most as many paths again.
+    Row k of a block resets the k-th generator of one pool to its path's
+    Philox substream. Normal k drives step k of every leg, and each boundary
+    is tested against its leg's threshold e_m - BETA*sigma*sqrt(dt).
     """
     p = config.params
+    dim = config.dimension
     boundaries = boundaries or (config.boundary,)
-    legs = []
-    for dt in dts:
-        sig_step = p.sigma * math.sqrt(dt)
-        legs.append((sig_step, p.i_s * dt, config.steps_cap(dt), p.e_m - BETA * sig_step))
+    sigs = [p.sigma * math.sqrt(dt) for dt in dts]
+    legs = [(s, p.i_s * dt, config.steps_cap(dt), p.e_m - BETA * s) for dt, s in zip(dts, sigs)]
     longest = max(leg[2] for leg in legs)
-    t_ref = p.time_scale / config.dimension
-    if p.i_s > 0:
-        t_ref = min(t_ref, p.e_m / p.i_s)
-    mu = t_ref / min(dts)
-    chunk = math.ceil(math.sqrt(2.0 * _CHUNK_COST / config.dimension * mu))
-    chunk = max(_MIN_CHUNK, min(longest, chunk))
+    mu = min(p.time_scale / dim, p.e_m / p.i_s if p.i_s > 0 else math.inf) / min(dts)
+    chunk = math.ceil(math.sqrt(2.0 * _CHUNK_COST / dim * mu))
+    chunk = min(longest, max(_MIN_CHUNK, min(chunk, _BLOCK_NORMALS // (_BLOCK * dim))))
     spheres = [b == "sphere" for b in boundaries]
-    substream = _substreams(config.seed)
-    for index in itertools.count():
-        hits = _walk(substream(index), config.dimension, legs, spheres, chunk, longest)
-        yield [s * dt if s else math.nan for dt, leg in zip(dts, hits) for s in leg]
+    step_dt = np.repeat(dts, len(boundaries))
+    pool: list[Callable[[int], Generator]] = []
+    start, size = 0, 1
+    while n_paths is None or start < n_paths:
+        size = min(_BLOCK, size if n_paths is None else n_paths - start)
+        pool += [_substreams(config.seed) for _ in range(size - len(pool))]
+        steps = _block([pool[k](start + k) for k in range(size)], dim, legs, spheres,
+                       chunk, longest)
+        yield from np.where(steps > 0, steps * step_dt, math.nan).tolist()
+        start, size = start + size, 2 * size
 
 
 def _substreams(seed: int) -> Callable[[int], Generator]:
@@ -222,67 +226,71 @@ def _substreams(seed: int) -> Callable[[int], Generator]:
     return reset
 
 
-def _walk(rng: Generator, dim: int, legs: list[tuple[float, float, int, float]],
-          spheres: list[bool], chunk: int, longest: int) -> list[list[int]]:
-    """Hit step per boundary of every leg on one path, 0 where censored.
+def _block(rngs: list[Generator], dim: int, legs: list[tuple[float, float, int, float]],
+           spheres: list[bool], chunk: int, longest: int) -> np.ndarray:
+    """(paths, legs * boundaries) hit steps of one block, 0 where censored.
 
-    Positions are one running sum from the origin: each chunk's carry is
-    folded into its first increment, so hit steps do not depend on chunking.
+    Per chunk, each of the d paths that some leg still walks draws from its
+    row's generator into one (d, steps, dim) array, normal dim*s + i driving
+    axis i of step s; each leg then scales, drifts, carries, sums and tests
+    its paths in one numpy call each. The carry is folded into a chunk's
+    first increment, so positions are one running sum and hit steps depend
+    on neither chunk nor block size.
     """
-    hits = [[0] * len(spheres) for _ in legs]
+    size = len(rngs)
+    need = size * chunk
+    zbuf, pbuf = np.empty(need * dim), np.empty(need * dim)
+    fbuf, tbuf, hbuf = np.empty(need), np.empty(need), np.empty(need, dtype=bool)
+    hits = np.zeros((size, len(legs), len(spheres)), dtype=np.int64)
+    live = [np.arange(size)] * len(legs)
     carry = [None] * len(legs)
-    live = list(range(len(legs)))
+    drawing = live[0]
     done = 0
-    while live:
+    while drawing.size:
         m = min(chunk, longest - done)
-        # normals 3k..3k+2 drive step k in 3D; one contiguous row per axis
-        z = np.ascontiguousarray(rng.standard_normal((m, dim)).T)
-        for j in live[:]:
-            sig_step, drift_step, cap, threshold = legs[j]
+        z = zbuf[:drawing.size * m * dim].reshape(drawing.size, m, dim)
+        for r, k in enumerate(drawing.tolist()):
+            rngs[k].standard_normal(out=z[r])
+        for j, (sig_step, drift_step, cap, threshold) in enumerate(legs):
+            rows = live[j]
+            if not rows.size:
+                continue
             n = min(m, cap - done)
-            pos = z[:, :n] * sig_step
+            pos = pbuf[:rows.size * n * dim].reshape(rows.size, n, dim)
+            if rows.size == drawing.size:
+                np.multiply(z[:, :n], sig_step, out=pos)
+            else:
+                np.take(z[:, :n], np.searchsorted(drawing, rows), axis=0, out=pos, mode="clip")
+                pos *= sig_step
             if drift_step:
-                pos[-1] += drift_step
+                pos[..., -1] += drift_step
             if done:
                 pos[:, 0] += carry[j]
             np.add.accumulate(pos, axis=1, out=pos)
-            leg = hits[j]
+            far, tmp, hit = (w[:rows.size * n].reshape(rows.size, n) for w in (fbuf, tbuf, hbuf))
             for b, sphere in enumerate(spheres):
-                if not leg[b]:
-                    i = _first_exit(pos, threshold, sphere)
-                    if i < n:
-                        leg[b] = done + i + 1
-            if all(leg) or done + n == cap:
-                live.remove(j)
-            else:
-                carry[j] = pos[:, -1]
+                # (E_x^2 + E_y^2) + E_z^2 >= e_m'^2, or max_i |E_i| >= e_m'
+                norm, fold, level = ((np.square, np.add, threshold * threshold) if sphere
+                                     else (np.abs, np.maximum, threshold))
+                norm(pos[..., 0], out=far)
+                for axis in range(1, dim):
+                    fold(far, norm(pos[..., axis], out=tmp), out=far)
+                np.greater_equal(far, level, out=hit)
+                first = hit.argmax(axis=1)
+                new = hit[np.arange(rows.size), first] & (hits[rows, j, b] == 0)
+                hits[rows[new], j, b] = done + 1 + first[new]
+            keep = (hits[rows, j] == 0).any(axis=1) & (done + n < cap)
+            live[j] = rows[keep]
+            carry[j] = pos[keep, -1]
+        drawing = np.unique(np.concatenate(live))
         done += m
-    return hits
-
-
-def _first_exit(pos: np.ndarray, threshold: float, sphere: bool) -> int:
-    """First column of pos (axes x steps) on or beyond the boundary, or the
-    column count when there is none: |E| >= threshold for the sphere, any
-    |E_i| >= threshold for the interval and the cube."""
-    if sphere:
-        hit = (pos * pos).sum(axis=0) >= threshold * threshold
-    elif len(pos) == 1:
-        hit = np.abs(pos[0]) >= threshold
-    else:
-        hit = (np.abs(pos) >= threshold).any(axis=0)
-    i = int(hit.argmax())
-    return i if hit[i] else pos.shape[1]
+    return hits.reshape(size, -1)
 
 
 def _sample(config: MCConfig, dts: tuple[float, ...],
             boundaries: tuple[str, ...] | None = None) -> np.ndarray:
     """(n_paths, len(dts) * len(boundaries)) array of _walks rows."""
-    return np.array(list(itertools.islice(_walks(config, dts, boundaries), config.n_paths)))
-
-
-def _sample_times(config: MCConfig, dt: float) -> np.ndarray:
-    """Absorption time per path (nan where censored at max_time)."""
-    return _sample(config, (dt,))[:, 0]
+    return np.array(list(_walks(config, dts, boundaries, config.n_paths)))
 
 
 def _estimate(times: np.ndarray, dt: float) -> FPTEstimate:
@@ -295,12 +303,6 @@ def _estimate(times: np.ndarray, dt: float) -> FPTEstimate:
     return FPTEstimate(mean=float(samples.mean()),
                        std_err=float(samples.std(ddof=1) / math.sqrt(n)),
                        n_absorbed=n, n_censored=int(censored.sum()), dt_used=dt)
-
-
-def simulate_fpt(config: MCConfig) -> FPTEstimate:
-    """Estimate the mean first-passage time at the configured step size,
-    with the O(dt) bias of the shifted boundary."""
-    return _estimate(_sample_times(config, config.dt), config.dt)
 
 
 def simulate_fpt_richardson(config: MCConfig) -> RichardsonFPT:
@@ -333,19 +335,17 @@ def simulate_fpt_sphere_vs_cube(params: DetectorParams, base: MCConfig) -> Spher
     sphere_est = _estimate(t_sphere, base.dt)
     cube_est = _estimate(t_cube, base.dt)
     paired = ~(np.isnan(t_sphere) | np.isnan(t_cube))
-    ts = t_sphere[paired]
-    tc = t_cube[paired]
+    ts, tc = t_sphere[paired], t_cube[paired]
     n = ts.size
     ms, mc = ts.mean(), tc.mean()
     cov = np.cov(ts, tc, ddof=1)
     ratio = ms / mc
     ratio_var = (cov[0, 0] / mc ** 2 + ms ** 2 * cov[1, 1] / mc ** 4
                  - 2.0 * ms * cov[0, 1] / mc ** 3) / n
-    pathwise = bool(np.all(ts <= tc))
     return SphereCubeComparison(sphere=sphere_est, cube=cube_est,
                                 ratio=float(ratio),
                                 ratio_err=float(math.sqrt(max(ratio_var, 0.0))),
-                                pathwise_sphere_le_cube=pathwise)
+                                pathwise_sphere_le_cube=bool(np.all(ts <= tc)))
 
 
 def simulate_event_stream(config: MCConfig, horizon: float) -> EventStream:

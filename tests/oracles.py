@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the package's own algorithms: the double series is
-resummed with mpmath's alternating-series extrapolation at high working
-precision, or split into a closed-form part and an exponentially convergent
-remainder; the Euler acceleration of alternating sums is computed by its
+split into a closed-form part and an exponentially convergent remainder, and
+the dark cube mean is the integral of the cubed 1D survival, which never
+sums the series; the Euler acceleration of alternating sums is computed by its
 definition, iterated averaging of partial sums; the lag correlation is integrated panel by panel between the
 zeros of the cosine, with the alternating panel tail accelerated by
 iterated averaging of raw partial sums, or by mpmath's oscillatory
@@ -17,26 +17,25 @@ import numpy as np
 from scipy.integrate import quad
 
 
-def f3_mpmath(x: float, dps: int = 30) -> float:
-    """Oversummed double series via mpmath alternating-series acceleration."""
+def cube_dark_mean_mpmath(dps: int = 20) -> float:
+    """Driftless mean exit time from the cube, units e_m = sigma = 1, as the
+    integral over t of K(t)^3, K being the survival in (-1, 1) of a standard
+    Brownian motion from 0. K is the image sum
+    sum_n (-1)^n (Phi((2n+1)/sqrt t) - Phi((2n-1)/sqrt t)) for t < 1 and the
+    eigenfunction series (4/pi) sum_k (-1)^k e^(-(2k+1)^2 pi^2 t/8)/(2k+1)
+    for t >= 1; the terms left out are below 1e-26. This route never sums the
+    double series F."""
     with mp.workdps(dps):
-        xm = mp.mpf(x)
+        def survival(t):
+            if t < 1:
+                r = 1 / mp.sqrt(t)
+                return mp.fsum((-1) ** n * (mp.ncdf((2 * n + 1) * r) - mp.ncdf((2 * n - 1) * r))
+                               for n in range(-6, 7))
+            return 4 / mp.pi * mp.fsum((-1) ** k / (2 * k + 1)
+                                       * mp.exp(-(2 * k + 1) ** 2 * mp.pi ** 2 * t / 8)
+                                       for k in range(6))
 
-        def row(k):
-            ok = 2 * k + 1
-
-            def term(l):
-                l = int(l)
-                ol = 2 * l + 1
-                s = ok * ok + ol * ol
-                y = mp.sqrt(xm * xm + mp.pi ** 2 * s / 4)
-                g = 1 - mp.cosh(xm) / mp.cosh(y)
-                return (-1) ** l * g / (s * ok * ol)
-
-            return mp.nsum(term, [0, mp.inf], method="a")
-
-        total = mp.nsum(lambda k: (-1) ** int(k) * row(int(k)), [0, mp.inf], method="a")
-        return float(total)
+        return float(mp.quad(lambda t: survival(t) ** 3, [0, 0.25, 1, 4, 16, mp.inf]))
 
 
 def f3_split(x: float, dps: int = 30) -> float:
@@ -85,11 +84,9 @@ def iterated_average_sum(signed_terms) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (s[..., 0] + s[..., 1]), 0.5 * np.abs(s[..., 1] - s[..., 0])
 
 
-# Zero-intensity cube mean (128/pi^4) F(0), in units e_m^2/sigma^2, with F(0)
-# from f3_mpmath(0.0), and the dark rate, its inverse. The resummation takes
-# about 18 s, so the values are stored here;
-# test_double_series_matches_independent_resummation[0.0] recomputes it and
-# pins both copies to it.
+# Zero-intensity cube mean (128/pi^4) F(0), in units e_m^2/sigma^2, and the
+# dark rate, its inverse; test_double_series_matches_independent_resummation[0.0]
+# pins both to cube_dark_mean_mpmath().
 DARK_MEAN_3D = 0.4497026386354831
 DARK_RATE_3D = 2.223691644403655
 

@@ -7,8 +7,8 @@ compare the model with quoted figures, so their correct verdict is decided
 here, outside the program, by applying the check's stated criterion to the
 independent oracles of tests/oracles.py:
 
-- check 3 (dark cube mean 0.49 +- 0.005, rate 2.0 +- 0.02) to the mpmath
-  resummation's DARK_MEAN_3D and DARK_RATE_3D;
+- check 3 (dark cube mean 0.49 +- 0.005, rate 2.0 +- 0.02) to DARK_MEAN_3D
+  and DARK_RATE_3D, pinned to the mpmath integral of the cubed 1D survival;
 - check 9 (g(0), curvature at small lag, damped-cosine tail on [10, 20]) to
   g_panel_quadrature on the check's lag grids.
 

@@ -11,7 +11,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import DARK_MEAN_3D, DARK_RATE_3D, f3_mpmath, f3_split, iterated_average_sum
+from oracles import (DARK_MEAN_3D, DARK_RATE_3D, cube_dark_mean_mpmath, f3_split,
+                     iterated_average_sum)
 
 from photofpt import analytic
 from photofpt.analytic import (
@@ -27,7 +28,7 @@ from photofpt.analytic import (
     rate_point,
     survival_3d,
 )
-from photofpt.mc import MCConfig, _sample_times
+from photofpt.mc import MCConfig, _sample
 from photofpt.params import (
     DetectorParams,
     SeriesControl,
@@ -164,7 +165,7 @@ def test_survival_3d_against_path_fraction():
     p = params_for_intensity(1.0)
     cfg = MCConfig(params=p, dt=1e-3, n_paths=2000, seed=2024,
                    dimension=3, boundary="cube")
-    times = _sample_times(cfg, cfg.dt)
+    times = _sample(cfg, (cfg.dt,))[:, 0]
     alive = np.isnan(times) | (times > t)
     frac = alive.mean()
     ref = survival_3d(t, p)
@@ -177,11 +178,11 @@ def test_double_series_matches_independent_resummation(x):
     ref = f3_split(x)
     assert abs(f3_series(x) - ref) < 1e-10
     if x == 0.0:
-        # the slow resummation pins the split oracle, and the stored dark
-        # constants are its value and inverse
-        slow = f3_mpmath(x)
-        assert ref == pytest.approx(slow, rel=1e-14)
-        dark_mean = 128.0 / math.pi ** 4 * slow
+        # the integral of the cubed 1D survival, a route that never sums F,
+        # pins the split oracle, and the stored dark constants are its value
+        # and inverse
+        dark_mean = cube_dark_mean_mpmath()
+        assert 128.0 / math.pi ** 4 * ref == pytest.approx(dark_mean, rel=1e-14)
         assert DARK_MEAN_3D == pytest.approx(dark_mean, rel=1e-14)
         assert DARK_RATE_3D == pytest.approx(1.0 / dark_mean, rel=1e-14)
 
@@ -196,6 +197,14 @@ def test_double_series_asymptote_holds_at_huge_x(x):
     """x F(x) -> pi^4/128; the gap between the cosh arguments must not be
     lost to rounding once x^2 dwarfs the eigenvalue term."""
     assert x * f3_series(x) * 128.0 / math.pi ** 4 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e155, 1e300, 1e308, 1.7e308])
+def test_double_series_asymptote_holds_where_x_squared_overflows(x):
+    """Past x = 1.3e154 the terms c/(2x) fall towards the subnormal range;
+    the series sums x G_kl instead, so x F(x) keeps its digits up to the
+    largest doubles (F itself is subnormal at 1.7e308)."""
+    assert abs(x * f3_series(x) * 128.0 / math.pi ** 4 - 1.0) <= 1.1e-15
 
 
 def test_double_series_rejects_negative():

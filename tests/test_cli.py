@@ -13,12 +13,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from photofpt import analytic, field, validation
 from photofpt.analytic import mean_fpt_3d, rate_1d, rate_3d
 from photofpt.cli import EXIT_OK, EXIT_QUALITY, EXIT_USAGE, main
-from photofpt.params import QuadratureError, TruncationError, params_for_intensity
+from photofpt.mc import MCConfig
+from photofpt.params import (DetectorParams, QuadratureError, TruncationError,
+                             params_for_intensity)
 from photofpt.validation import CRITERIA, CheckResult, ValidationReport, run_check
 
 UNIT3_RATE = rate_3d(params_for_intensity(0.0))
@@ -155,23 +157,60 @@ def _mc_dt(em, sigma, i_s, fraction):
     return fraction * bound if 0 < bound < math.inf else 1e-3
 
 
-# most draws are rejected flags; 200 examples reach a run whose paths all
-# hit at one step
+# the most path-steps one example may ask for, all paths censored: about
+# 3 s at the kernel's cost per step
+MC_WORK_BOUND = 10 ** 8
+
+
+def _mc_max_time(em, sigma, scale):
+    """scale times the shortest --max-time MCConfig allows, as a float
+    (inf or nan where that bound is not finite), or None for the default."""
+    if scale is None:
+        return None
+    with np.errstate(all="ignore"):
+        return float(scale * 100.0 * np.float64(em) ** 2 / np.float64(sigma) ** 2)
+
+
+def _mc_work(em, sigma, i_s, dim, boundary, dt, paths, max_time) -> float:
+    """paths times the step cap at dt/2, the most path-steps a run can take,
+    or 0 when MCConfig rejects the flags before any path is walked."""
+    try:
+        config = MCConfig(params=DetectorParams(e_m=em, sigma=sigma, i_s=i_s), dt=dt,
+                          n_paths=paths, seed=0, dimension=dim, max_time=max_time,
+                          boundary=boundary or ("interval" if dim == 1 else "cube"))
+    except ValueError:
+        return 0
+    return paths * config.steps_cap(dt / 2.0)
+
+
+# each parameter is any float or one from a moderate range, so that about
+# one draw in seven runs rather than failing validation
 @settings(max_examples=200)
-@given(em=st.floats(), sigma=st.floats(), i_s=st.floats(),
+@given(em=st.one_of(st.floats(0.5, 2.0), st.floats()),
+       sigma=st.one_of(st.floats(0.5, 2.0), st.floats()),
+       i_s=st.one_of(st.floats(0.0, 3.0), st.floats()),
        dim_boundary=st.sampled_from([(1, None), (1, "interval"), (3, None), (3, "cube"),
                                      (3, "sphere")]),
-       fraction=st.floats(0.5, 1.0), seed=st.integers())
-def test_mc_flags_exit_0_or_one_error_line(em, sigma, i_s, dim_boundary, fraction, seed):
-    """Any parameter floats and seed, a step of at most the allowed one:
-    finite JSON (exit 0, or exit 3 with the censoring line), or exit 2 or 3
-    with one error line."""
+       fraction=st.floats(0.5, 1.0), seed=st.integers(),
+       paths=st.one_of(st.integers(100, 500), st.integers()),
+       max_time_scale=st.one_of(st.none(), st.floats(0.9, 4.0), st.floats()))
+def test_mc_flags_exit_0_or_one_error_line(em, sigma, i_s, dim_boundary, fraction, seed,
+                                           paths, max_time_scale):
+    """Any parameter floats, seed and path count, a step of at most the
+    allowed one and any multiple of the shortest --max-time: finite JSON
+    (exit 0, or exit 3 with the censoring line), or exit 2 or 3 with one
+    error line. Runs that could take more than MC_WORK_BOUND path-steps are
+    not launched."""
     dim, boundary = dim_boundary
+    dt = _mc_dt(em, sigma, i_s, fraction)
+    max_time = _mc_max_time(em, sigma, max_time_scale)
+    assume(_mc_work(em, sigma, i_s, dim, boundary, dt, paths, max_time) <= MC_WORK_BOUND)
     argv = ["mc", f"--em={em!r}", f"--sigma={sigma!r}", f"--is={i_s!r}",
-            "--dim", str(dim), "--paths", "100",
-            f"--seed={seed}", f"--dt={_mc_dt(em, sigma, i_s, fraction)!r}"]
+            "--dim", str(dim), "--paths", str(paths), f"--seed={seed}", f"--dt={dt!r}"]
     if boundary is not None:
         argv += ["--boundary", boundary]
+    if max_time is not None:
+        argv.append(f"--max-time={max_time!r}")
     code, out, err = _run_quietly(argv)
     if out == "":
         assert code in (EXIT_USAGE, EXIT_QUALITY)
@@ -299,6 +338,20 @@ def test_validate_rejects_seed_before_any_check(monkeypatch, capsys, seed):
     assert out == ""
     assert _one_error_line(err), err
     assert ran == []
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_validate_checks_out_before_any_check(tmp_path, monkeypatch, capsys, where):
+    """An --out path in a missing directory, or a directory itself, fails at
+    once, not after the whole suite has run."""
+    ran = []
+    monkeypatch.setattr(validation, "run_check", lambda cid, seed: ran.append(cid))
+    code, out, err = run_cli(capsys, "validate", "--out", str(tmp_path / where))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert _one_error_line(err), err
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_accepts_the_largest_seed(monkeypatch):

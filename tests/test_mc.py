@@ -21,10 +21,8 @@ from photofpt.mc import (
     RichardsonFPT,
     _estimate,
     _sample,
-    _sample_times,
     _substreams,
     simulate_event_stream,
-    simulate_fpt,
     simulate_fpt_richardson,
     simulate_fpt_sphere_vs_cube,
     zscore,
@@ -35,6 +33,11 @@ from photofpt.validation import radial_mean_exit_time, reference_mean
 UNIT = DetectorParams(e_m=1.0, sigma=1.0)
 
 
+def _times(config):
+    """Hit time per path of the single leg at config.dt."""
+    return _sample(config, (config.dt,))[:, 0]
+
+
 @pytest.fixture(scope="module")
 def richardson_unit_seed7():
     cfg = MCConfig(params=UNIT, dt=5e-3, n_paths=20000, seed=7)
@@ -43,17 +46,17 @@ def richardson_unit_seed7():
 
 def test_simulation_is_deterministic():
     cfg = MCConfig(params=params_for_intensity(2.0), dt=5e-3, n_paths=300, seed=123)
-    assert simulate_fpt(cfg) == simulate_fpt(cfg)
+    assert simulate_fpt_richardson(cfg) == simulate_fpt_richardson(cfg)
     other = MCConfig(params=params_for_intensity(2.0), dt=5e-3, n_paths=300, seed=124)
-    assert simulate_fpt(other).mean != simulate_fpt(cfg).mean
+    assert _times(other).mean() != _times(cfg).mean()
 
 
 def test_path_subsets_are_prefix_stable():
     """Per-path substreams: a smaller ensemble is a bitwise prefix of a
     larger one at the same seed."""
     p = params_for_intensity(2.0)
-    small = _sample_times(MCConfig(params=p, dt=5e-3, n_paths=150, seed=123), 5e-3)
-    large = _sample_times(MCConfig(params=p, dt=5e-3, n_paths=300, seed=123), 5e-3)
+    small = _times(MCConfig(params=p, dt=5e-3, n_paths=150, seed=123))
+    large = _times(MCConfig(params=p, dt=5e-3, n_paths=300, seed=123))
     assert np.array_equal(small, large[:150], equal_nan=True)
 
 
@@ -74,16 +77,17 @@ def test_each_leg_tests_its_shifted_threshold(monkeypatch, boundary):
                    dimension=1 if boundary == "interval" else 3, boundary=boundary)
     dts = (cfg.dt, cfg.dt / 2.0, cfg.dt / 8.0)
     seen = []
-    walk = mc._walk
+    block = mc._block
 
-    def spy(rng, dim, legs, *rest):
-        seen.append([leg[3] for leg in legs])
-        return walk(rng, dim, legs, *rest)
-    monkeypatch.setattr(mc, "_walk", spy)
+    def spy(rngs, dim, legs, *rest):
+        seen.append((len(rngs), [leg[3] for leg in legs]))
+        return block(rngs, dim, legs, *rest)
+    monkeypatch.setattr(mc, "_BLOCK", 32)
+    monkeypatch.setattr(mc, "_block", spy)
     _sample(cfg, dts)
-    assert len(seen) == cfg.n_paths
+    assert [size for size, _ in seen] == [32, 32, 32, 4]
     expected = [2.0 - BETA * 0.5 * math.sqrt(dt) for dt in dts]
-    for thresholds in seen:
+    for _, thresholds in seen:
         assert thresholds == pytest.approx(expected, rel=1e-15)
 
 
@@ -136,7 +140,7 @@ def test_bias_shrinks_with_dt():
         assert (exact[i] - 1.0) / (exact[i + 1] - 1.0) == pytest.approx(2.0, rel=1e-6)
         assert (plain[i] - 1.0) / (plain[i + 1] - 1.0) == pytest.approx(math.sqrt(2.0), rel=0.05)
     for dt, mean, unshifted in zip(dts, exact, plain):
-        est = simulate_fpt(MCConfig(params=UNIT, dt=dt, n_paths=2000, seed=11))
+        est = _estimate(_times(MCConfig(params=UNIT, dt=dt, n_paths=2000, seed=11)), dt)
         assert abs(zscore(mean, est)) < 3.0
         assert zscore(unshifted, est) < -3.0
 
@@ -227,10 +231,34 @@ def test_event_stream_intervals_are_fpt_samples(stream_x2):
     """Interval i consumes substream i: the cumulative event times equal the
     running sum of independently drawn first-passage samples bit for bit."""
     cfg, stream = stream_x2
-    probe = _sample_times(cfg, cfg.dt)  # first 100 substreams
+    probe = _times(cfg)  # first 100 substreams
     cum = np.cumsum(probe)
     assert np.array_equal(np.asarray(stream.event_times)[:100], cum)
     assert np.allclose(stream.interarrivals()[:100], probe, rtol=0.0, atol=1e-12)
+
+
+def test_event_stream_is_a_prefix_across_horizons(monkeypatch):
+    """Paths walk in blocks, but the stream stops at its horizon: one that
+    ends inside a block gives a bit-identical prefix of a longer horizon's
+    stream, at the default block size and at one of 7 paths. The blocks
+    double from one path, so a short stream walks at most twice the
+    intervals it uses."""
+    cfg = MCConfig(params=params_for_intensity(8.0), dt=1e-3, n_paths=100, seed=77)
+    longer = simulate_event_stream(cfg, horizon=60.0)
+    stream = simulate_event_stream(cfg, horizon=25.0)
+    block_ends = np.cumsum([min(2 ** i, mc._BLOCK) for i in range(20)])
+    assert stream.count + 1 not in block_ends        # no censoring: count + 1 intervals
+    assert longer.count > stream.count + mc._BLOCK
+    assert longer.event_times[:stream.count] == stream.event_times
+    walked = []
+    block = mc._block
+    monkeypatch.setattr(mc, "_block", lambda rngs, *rest: walked.append(len(rngs))
+                        or block(rngs, *rest))
+    short = simulate_event_stream(cfg, horizon=1.0)
+    assert short.event_times == stream.event_times[:short.count]
+    assert sum(walked) <= 2 * (short.count + 1)
+    monkeypatch.setattr(mc, "_BLOCK", 7)
+    assert simulate_event_stream(cfg, horizon=25.0) == stream
 
 
 def test_event_stream_rate_matches_inverse_mean(stream_x2):
@@ -344,8 +372,8 @@ def test_drift_speeds_up_every_path():
     dark = MCConfig(params=UNIT, dt=1e-3, n_paths=3000, seed=3)
     lit = MCConfig(params=DetectorParams(e_m=1.0, sigma=1.0, i_s=2.0),
                    dt=1e-3, n_paths=3000, seed=3)
-    t_dark = _sample_times(dark, 1e-3)
-    t_lit = _sample_times(lit, 1e-3)
+    t_dark = _times(dark)
+    t_lit = _times(lit)
     assert np.all(t_lit <= t_dark)
 
 
@@ -381,13 +409,20 @@ def test_substream_reset_matches_fresh_generator():
 ], ids=["rich1d", "rich_cube", "sphere_vs_cube", "censored_1d", "censored_sphere"])
 def test_hit_times_do_not_depend_on_chunk_schedule(monkeypatch, config, dts, boundaries):
     default = _sample(config, dts, boundaries)
-    monkeypatch.setattr(mc, "_MIN_CHUNK", 3)
-    monkeypatch.setattr(mc, "_CHUNK_COST", 0.0)    # 3 steps per chunk
-    tiny = _sample(config, dts, boundaries)
-    monkeypatch.setattr(mc, "_CHUNK_COST", 1e12)   # the whole step cap in one chunk
-    whole = _sample(config, dts, boundaries)
-    assert np.array_equal(default, tiny, equal_nan=True)
-    assert np.array_equal(default, whole, equal_nan=True)
+    assert config.n_paths % 3 and config.n_paths <= mc._BLOCK  # one block by default
+    schedules = [
+        (3, 0.0, 3),             # 3 steps per chunk, blocks of 3 paths and a last of 1
+        (3, 0.0, 1),             # 3 steps per chunk, one path per block
+        (3, 1e12, 1),            # the whole step cap in one chunk, one path per block
+        (16, 32, 3),             # the default chunk, blocks of 3
+    ]
+    for min_chunk, chunk_cost, block in schedules:
+        monkeypatch.setattr(mc, "_MIN_CHUNK", min_chunk)
+        monkeypatch.setattr(mc, "_CHUNK_COST", chunk_cost)
+        monkeypatch.setattr(mc, "_BLOCK_NORMALS", math.inf)
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        other = _sample(config, dts, boundaries)
+        assert np.array_equal(default, other, equal_nan=True), (min_chunk, chunk_cost, block)
     if config.max_time < 1.0:
         assert np.isnan(default).any() and not np.isnan(default).all()
 
@@ -396,22 +431,23 @@ def test_hit_times_do_not_depend_on_chunk_schedule(monkeypatch, config, dts, bou
 def test_richardson_legs_are_single_leg_samples(boundary):
     cfg = _config(1.0, boundary, n_paths=200, seed=4)
     legs = _sample(cfg, (cfg.dt, cfg.dt / 2.0))
-    assert np.array_equal(legs[:, 0], _sample_times(cfg, cfg.dt))
-    assert np.array_equal(legs[:, 1], _sample_times(cfg, cfg.dt / 2.0))
+    fine = replace(cfg, dt=cfg.dt / 2.0)
+    assert np.array_equal(legs[:, 0], _times(cfg))
+    assert np.array_equal(legs[:, 1], _times(fine))
     rich = simulate_fpt_richardson(cfg)
-    assert rich.coarse == simulate_fpt(cfg)
-    assert rich.fine == simulate_fpt(replace(cfg, dt=cfg.dt / 2.0))
+    assert rich.coarse == _estimate(_times(cfg), cfg.dt)
+    assert rich.fine == _estimate(_times(fine), fine.dt)
 
 
 def test_sphere_vs_cube_times_are_each_boundary_alone():
     base = _config(2.0, "cube", n_paths=200, seed=6)
     sphere = replace(base, boundary="sphere")
     both = _sample(base, (base.dt,), ("sphere", "cube"))
-    assert np.array_equal(both[:, 0], _sample_times(sphere, base.dt))
-    assert np.array_equal(both[:, 1], _sample_times(base, base.dt))
+    assert np.array_equal(both[:, 0], _times(sphere))
+    assert np.array_equal(both[:, 1], _times(base))
     comp = simulate_fpt_sphere_vs_cube(base.params, base)
-    assert comp.sphere == simulate_fpt(sphere)
-    assert comp.cube == simulate_fpt(base)
+    assert comp.sphere == _estimate(_times(sphere), base.dt)
+    assert comp.cube == _estimate(_times(base), base.dt)
 
 
 def _est(mean, std_err, n_absorbed, n_censored, dt_used):
