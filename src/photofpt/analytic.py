@@ -18,7 +18,8 @@ import math
 import numpy as np
 from scipy.special import log_ndtr
 
-from .params import DetectorParams, SeriesControl, TruncationError, dimensionless_intensity
+from .params import (ABS_TOL, DetectorParams, SeriesControl, TruncationError,
+                     dimensionless_intensity, tolerance_for)
 
 _SMALL_X = 1e-4
 
@@ -133,10 +134,10 @@ def axis_survival_image(t: float, drift: float, params: DetectorParams,
     shells = mags[ctrl.n_images:].copy()
     shells[1:] += mags[:ctrl.n_images][::-1]
     tail = float(shells[-1])
-    if shells.size >= 3 and tail > shells[-2] and tail > ctrl.abs_tol:
+    if shells.size >= 3 and tail > shells[-2] and tail > ABS_TOL:
         raise TruncationError(
             f"image shells still growing at n_images={ctrl.n_images} (t={t}, drift={drift})")
-    if tail > ctrl.tolerance_for(value):
+    if tail > tolerance_for(value):
         raise TruncationError(
             f"image tail {tail:.3e} exceeds tolerance at n_images={ctrl.n_images}")
     return min(1.0, max(0.0, value))
@@ -158,7 +159,7 @@ def axis_survival_spectral(t: float, params: DetectorParams,
     decay = np.exp(-odd ** 2 * math.pi ** 2 * params.sigma ** 2 * t / (8.0 * params.e_m ** 2))
     signed = (4.0 / math.pi) * np.where(k % 2 == 0, 1.0, -1.0) / odd * decay
     value, residual = map(float, _accelerated_alternating_sum(signed))
-    if residual > ctrl.tolerance_for(value):
+    if residual > tolerance_for(value):
         raise TruncationError(
             f"spectral tail estimate {residual:.3e} exceeds tolerance at kl_max={ctrl.kl_max}")
     return min(1.0, max(0.0, value))
@@ -212,7 +213,7 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     value, outer_res = map(float, _accelerated_alternating_sum(np.where(even, row_val, -row_val)))
     value /= scale
     tail = (outer_res + float(row_res.max())) / scale
-    if tail > ctrl.tolerance_for(value):
+    if tail > tolerance_for(value):
         raise TruncationError(
             f"double-series tail estimate {tail:.3e} exceeds tolerance at kl_max={ctrl.kl_max}")
     return value

@@ -18,6 +18,8 @@ import numpy as np
 
 from . import __version__, analytic, field, mc, validation
 from .params import (
+    ABS_TOL,
+    REL_TOL,
     AtomModel,
     DEFAULT_SEED,
     DetectorParams,
@@ -50,36 +52,47 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _in_place(path) -> bool:
+    # an existing FIFO or device, which a rename would replace
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
 def _write_file(path, text: str) -> None:
-    """Write through a temporary file and a rename, so that a failed run
-    leaves no partial file at path."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    """Write through a temporary file and a rename onto the path with its
+    symlinks resolved, so that a failed run leaves no partial file and a
+    symlink stays a link to the new file. A FIFO or device is written in
+    place."""
+    if _in_place(path):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
 
 
-def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _emit(text: str, path=None) -> None:
+    """Write text to stdout, or to the file at path."""
     if path is None:
         sys.stdout.write(text)
     else:
         _write_file(path, text)
 
 
+def _csv_text(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _json_text(obj) -> str:
     # NaN and infinity are not JSON; refusing them raises ValueError (exit 2)
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
-def _print_json(obj) -> None:
-    sys.stdout.write(_json_text(obj))
 
 
 def _add_param_flags(sub, cross_section: bool = True) -> None:
@@ -93,8 +106,8 @@ def _add_param_flags(sub, cross_section: bool = True) -> None:
 
 
 def cmd_rate(args) -> int:
-    _print_json(analytic.rate_point(DetectorParams(e_m=args.em, sigma=args.sigma, i_s=args.i_s,
-                                                   cross_section=args.cross_section)))
+    _emit(_json_text(analytic.rate_point(DetectorParams(
+        e_m=args.em, sigma=args.sigma, i_s=args.i_s, cross_section=args.cross_section))))
     return EXIT_OK
 
 
@@ -124,7 +137,7 @@ def build_rate_curve(e_m: float, sigma: float, cross_section: float,
     metadata = {
         "e_m": e_m, "sigma": sigma, "cross_section": cross_section,
         "n_images": ctrl.n_images, "kl_max": ctrl.kl_max,
-        "abs_tol": ctrl.abs_tol, "rel_tol": ctrl.rel_tol,
+        "abs_tol": ABS_TOL, "rel_tol": REL_TOL,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -151,19 +164,16 @@ def cmd_sweep(args) -> int:
     curve = build_rate_curve(args.em, args.sigma, args.cross_section,
                              _grid(args), SeriesControl())
     if args.format == "csv":
-        _write_csv(args.out, RateCurve.HEADER, curve.rows)
-        sidecar = {"columns": list(RateCurve.HEADER), **curve.metadata}
+        _emit(_csv_text(RateCurve.HEADER, curve.rows), args.out)
         if args.out is not None:
+            sidecar = {"columns": list(RateCurve.HEADER), **curve.metadata}
             _write_file(args.out + ".meta.json", _json_text(sidecar))
     else:
         payload = {"columns": list(RateCurve.HEADER),
                    "rows": [[None if isinstance(v, float) and math.isnan(v) else v
                              for v in row] for row in curve.rows],
                    "metadata": curve.metadata}
-        if args.out is None:
-            _print_json(payload)
-        else:
-            _write_file(args.out, _json_text(payload))
+        _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -195,7 +205,7 @@ def cmd_mc(args) -> int:
         "analytic_mean": ref,
         "z_extrapolated": None if ref is None else mc.zscore(ref, rich.extrapolated),
     }
-    _print_json(payload)
+    _emit(_json_text(payload))
     if rich.coarse.unreliable or rich.fine.unreliable:
         print("censoring above 0.1%: estimates unreliable, raise --max-time",
               file=sys.stderr)
@@ -207,7 +217,7 @@ def cmd_field(args) -> int:
     taus = _grid(args)
     rows = [(t, field.g_tau(t), field.g_tau_small(t),
              field.g_tau_large(t) if t > 0 else math.nan) for t in taus]
-    _write_csv(args.out, ("tau", "g", "g_small", "g_large"), rows)
+    _emit(_csv_text(("tau", "g", "g_small", "g_large"), rows), args.out)
 
     est = field.sigma_const(AtomModel())
     report = {
@@ -229,12 +239,14 @@ def cmd_field(args) -> int:
 
 
 def _check_writable(path) -> None:
-    """Fail before a long run, not after it, when path cannot be written."""
+    """Fail before a long run, not after it, when _write_file could not
+    write path."""
     if os.path.isdir(path):
         raise ValueError(f"cannot write {path!r}: it is a directory")
-    directory = os.path.dirname(os.path.abspath(path))
-    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
-        raise ValueError(f"cannot write {path!r}: {directory!r} is not a writable directory")
+    in_place = _in_place(path)
+    where = path if in_place else os.path.dirname(os.path.realpath(path))
+    if not ((in_place or os.path.isdir(where)) and os.access(where, os.W_OK)):
+        raise ValueError(f"cannot write {path!r}: {where!r} is not writable")
 
 
 def cmd_validate(args) -> int:
@@ -244,7 +256,7 @@ def cmd_validate(args) -> int:
     if args.out is not None:
         _check_writable(args.out)
     report = validation.run_all(seed=args.seed, progress=progress)
-    print(report.render_text().splitlines()[-1])
+    print(report.summary())
     if args.out is not None:
         _write_file(args.out, _json_text(report.to_dict()))
     return EXIT_OK if report.passed else EXIT_VALIDATION

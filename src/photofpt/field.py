@@ -1,9 +1,9 @@
 """Vacuum-field autocorrelation seen by an exponentially smeared detector,
 and the white-noise amplitude it induces.
 
-All values are dimensionless (hbar = c = a = 1) unless an AtomModel carries
-explicit units: lags tau are in units a/c, correlation values in hbar*c/a**4
-and the noise amplitude in hbar*c**1.5/a**3.5.
+All values are in natural units hbar = c = a = 1, a the atom's decay length:
+lags tau are in units a/c, correlation values in hbar*c/a**4 and the noise
+amplitude in hbar*c**1.5/a**3.5.
 """
 from __future__ import annotations
 
@@ -15,25 +15,23 @@ from scipy.integrate import quad
 from scipy.special import beta as _beta
 from scipy.special import exp1, expi
 
-from .params import AtomModel, QuadratureError, SeriesControl
+from .params import ABS_TOL, REL_TOL, AtomModel, QuadratureError, tolerance_for
 
 _PREF = 2.0 / (3.0 * math.pi)
 G0 = 1.0 / (18.0 * math.pi)
-# tolerances of both quadratures
-_CTRL = SeriesControl()
 
 # reference figures quoted elsewhere for the natural-unit noise amplitude;
 # kept for reporting, not used in any computation
 REPORTED_SIGMA_CONSTANT = 2.12e-4
 REPORTED_SIGMA_ORDER = 1e-3
-# the physical unit of sigma_freq * unit_scale
+# the physical unit of a natural-unit noise amplitude
 SIGMA_UNIT = "hbar * c**1.5 / a**3.5"
 
 
 def _check_quad(result, what: str) -> None:
     if len(result) > 3:
         raise QuadratureError(f"{what}: {result[3]}")
-    if result[1] > _CTRL.tolerance_for(result[0]):
+    if result[1] > tolerance_for(result[0]):
         raise QuadratureError(
             f"{what}: reported error {result[1]:.3e} exceeds tolerance")
 
@@ -105,7 +103,7 @@ def moment_integral() -> tuple[float, float]:
     Returns (quadrature, closed_form).
     """
     res = quad(lambda x: x ** 6 / (x * x + 1.0) ** 8, 0.0, np.inf,
-               epsabs=_CTRL.abs_tol, epsrel=_CTRL.rel_tol, full_output=True)
+               epsabs=ABS_TOL, epsrel=REL_TOL, full_output=True)
     _check_quad(res, "moment_integral")
     return float(res[0]), moment_integral_exact()
 
@@ -116,14 +114,12 @@ class SigmaEstimate:
 
     sigma_time comes from integrating the squared lag correlation,
     sigma_freq from the Parseval reduction to the spectral moment; both are
-    in natural units (multiply by unit_scale for SIGMA_UNIT). consistent is
-    the internal cross-check, independent of the reference figures quoted
-    in the note.
+    natural-unit multiples of SIGMA_UNIT. consistent is the internal
+    cross-check, independent of the reference figures quoted in the note.
     """
     sigma_time: float
     sigma_freq: float
     rel_disagreement: float
-    unit_scale: float
     note: str
 
     @property
@@ -136,7 +132,8 @@ class SigmaEstimate:
 
 
 def sigma_const(atom: AtomModel) -> SigmaEstimate:
-    """Noise amplitude sigma from the correlation function, two ways.
+    """Noise amplitude sigma of the exponential atom from the correlation
+    function, two ways.
 
     Time domain: sigma^2 = (1/4 pi^2) int_0^inf g(tau)^2 dtau.
     Frequency domain: the same by Parseval,
@@ -144,8 +141,8 @@ def sigma_const(atom: AtomModel) -> SigmaEstimate:
     The two must agree to 1e-6 relative; neither is fitted to the reference
     figures, which are merely reported for comparison.
     """
-    res = quad(lambda tau: g_tau(tau) ** 2, 0.0, np.inf, epsabs=_CTRL.abs_tol,
-               epsrel=_CTRL.rel_tol, limit=200, full_output=True)
+    res = quad(lambda tau: g_tau(tau) ** 2, 0.0, np.inf, epsabs=ABS_TOL,
+               epsrel=REL_TOL, limit=200, full_output=True)
     _check_quad(res, "sigma_const time route")
     sigma_sq_time = float(res[0]) / (4.0 * math.pi ** 2)
 
@@ -161,4 +158,4 @@ def sigma_const(atom: AtomModel) -> SigmaEstimate:
         "is the internal agreement of the two computation routes"
     )
     return SigmaEstimate(sigma_time=math.sqrt(sigma_sq_time), sigma_freq=sigma_freq,
-                         rel_disagreement=rel, unit_scale=atom.sigma_unit, note=note)
+                         rel_disagreement=rel, note=note)

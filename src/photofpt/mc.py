@@ -177,10 +177,10 @@ class EventStream:
 
 
 def _walks(config: MCConfig, dts: tuple[float, ...], boundaries: tuple[str, ...] | None = None,
-           n_paths: int | None = None) -> Iterator[list[float]]:
-    """Hit times of paths 0, 1, 2, ... (up to n_paths; without end if None):
-    one per (dt, boundary) pair, dt-major, nan where the leg reached its step
-    cap first.
+           n_paths: int | None = None) -> Iterator[np.ndarray]:
+    """Hit times of paths 0, 1, 2, ... (up to n_paths; without end if None),
+    one (paths, legs) array per block: one column per (dt, boundary) pair,
+    dt-major, nan where the leg reached its step cap first.
 
     Paths walk in blocks of _BLOCK; without an end the blocks double from 1,
     so a caller that stops early has walked at most as many paths again.
@@ -206,7 +206,7 @@ def _walks(config: MCConfig, dts: tuple[float, ...], boundaries: tuple[str, ...]
         pool += [_substreams(config.seed) for _ in range(size - len(pool))]
         steps = _block([pool[k](start + k) for k in range(size)], dim, legs, spheres,
                        chunk, longest)
-        yield from np.where(steps > 0, steps * step_dt, math.nan).tolist()
+        yield np.where(steps > 0, steps * step_dt, math.nan)
         start, size = start + size, 2 * size
 
 
@@ -289,8 +289,8 @@ def _block(rngs: list[Generator], dim: int, legs: list[tuple[float, float, int, 
 
 def _sample(config: MCConfig, dts: tuple[float, ...],
             boundaries: tuple[str, ...] | None = None) -> np.ndarray:
-    """(n_paths, len(dts) * len(boundaries)) array of _walks rows."""
-    return np.array(list(_walks(config, dts, boundaries, config.n_paths)))
+    """(n_paths, len(dts) * len(boundaries)) array of _walks blocks."""
+    return np.concatenate(list(_walks(config, dts, boundaries, config.n_paths)))
 
 
 def _estimate(times: np.ndarray, dt: float) -> FPTEstimate:
@@ -360,7 +360,8 @@ def simulate_event_stream(config: MCConfig, horizon: float) -> EventStream:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     events: list[float] = []
     clock = 0.0
-    for t, in _walks(config, (config.dt,)):
+    times = (t for block in _walks(config, (config.dt,)) for t in block[:, 0].tolist())
+    for t in times:
         clock += config.max_time if math.isnan(t) else t
         if clock > horizon:
             break

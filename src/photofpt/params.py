@@ -101,40 +101,41 @@ def params_for_intensity(intensity: float, e_m: float = 1.0, sigma: float = 1.0,
                           cross_section=cross_section)
 
 
+# A series tail or quadrature error estimate passes if it is at most
+# tolerance_for(value) = max(ABS_TOL, REL_TOL * |value|); otherwise the
+# evaluation raises TruncationError or QuadratureError.
+ABS_TOL = 1e-12
+REL_TOL = 1e-9
+
+
+def tolerance_for(value: float) -> float:
+    return max(ABS_TOL, REL_TOL * abs(value))
+
+
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation orders and tolerances for series and quadratures.
+    """Truncation orders of the series.
 
     n_images : int
         Image-sum truncation; shells n = 0, +-1, ..., +-n_images are kept.
     kl_max : int
         Per-axis truncation of the (k, l) double series and of the
         spectral eigenfunction series.
-    abs_tol, rel_tol : float
-        A tail estimate passes if it is <= max(abs_tol, rel_tol * |value|);
-        otherwise the evaluation raises TruncationError / QuadratureError.
     """
 
     n_images: int = 30
     kl_max: int = 60
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if self.n_images < 1:
             raise ValueError(f"n_images must be >= 1, got {self.n_images}")
         if self.kl_max < 1:
             raise ValueError(f"kl_max must be >= 1, got {self.kl_max}")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be > 0")
-
-    def tolerance_for(self, value: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value))
 
 
 @dataclass(frozen=True)
 class AtomModel:
-    """Exponential effective atomic density, natural units by default.
+    """Exponential effective atomic density, in natural units hbar = c = a = 1.
 
     The absorber is smeared over a density that falls off as exp(-r/a)
     from its centre and integrates to one over all space; a is the decay
@@ -142,16 +143,3 @@ class AtomModel:
     field module's correlation kernel x**3/(x**2 + 1)**4 is the vacuum
     spectrum x**3 weighted by that transform squared.
     """
-
-    a: float = 1.0
-    hbar: float = 1.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.hbar > 0 and self.c > 0):
-            raise ValueError("a, hbar, c must all be > 0")
-
-    @property
-    def sigma_unit(self) -> float:
-        """Physical unit hbar * c**1.5 * a**-3.5 carried by the noise amplitude."""
-        return self.hbar * self.c ** 1.5 * self.a ** -3.5

@@ -158,12 +158,10 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def render_text(self) -> str:
-        lines = [c.line() for c in self.checks]
+    def summary(self) -> str:
         n_fail = sum(not c.passed for c in self.checks)
-        lines.append(f"{len(self.checks) - n_fail}/{len(self.checks)} checks passed"
-                     + ("" if not n_fail else f", {n_fail} FAILED"))
-        return "\n".join(lines)
+        return (f"{len(self.checks) - n_fail}/{len(self.checks)} checks passed"
+                + ("" if not n_fail else f", {n_fail} FAILED"))
 
     def to_dict(self) -> dict:
         return {

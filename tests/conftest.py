@@ -1,11 +1,6 @@
 import hypothesis
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "acceptance: end-to-end acceptance criterion, one per check")
-
-
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True)
 hypothesis.settings.load_profile("default")

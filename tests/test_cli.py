@@ -9,6 +9,8 @@ import io
 import json
 import math
 import os
+import stat
+import threading
 import warnings
 
 import numpy as np
@@ -24,6 +26,8 @@ from photofpt.params import (DetectorParams, QuadratureError, TruncationError,
 from photofpt.validation import CRITERIA, CheckResult, ValidationReport, run_check
 
 UNIT3_RATE = rate_3d(params_for_intensity(0.0))
+# the truncation orders and tolerances every sweep records
+SERIES_METADATA = {"n_images": 30, "kl_max": 60, "abs_tol": 1e-12, "rel_tol": 1e-9}
 
 
 def run_cli(capsys, *argv):
@@ -312,6 +316,35 @@ def test_out_file_is_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_out_symlink_stays_a_link_to_the_whole_report(tmp_path, monkeypatch, capsys):
+    report = _report()
+    monkeypatch.setattr(validation, "run_all", lambda seed, progress: report)
+    target = tmp_path / "target.json"
+    target.write_text("previous\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "validate", "--out", str(link))
+    assert code == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text()) == json.loads(json.dumps(report.to_dict()))
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_fifo_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "curve.csv"
+    os.mkfifo(fifo)
+    got = []
+    # a daemon, so a reader left waiting on a replaced FIFO cannot hang the run
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, _, _ = run_cli(capsys, "sweep", "--points", "3", "--out", str(fifo))
+    reader.join(timeout=30)
+    assert code == EXIT_OK
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [run_cli(capsys, "sweep", "--points", "3")[1]]
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--bogus"])
@@ -384,6 +417,7 @@ def test_sweep_csv_round_trip(tmp_path, capsys):
     assert meta["e_m"] == 1.0
     assert meta["columns"][0] == "i_s"
     assert "timestamp" in meta
+    assert {k: meta[k] for k in SERIES_METADATA} == SERIES_METADATA
 
     again = tmp_path / "again.csv"
     run_cli(capsys, "sweep", "--x-min", "0", "--x-max", "2",
@@ -400,6 +434,7 @@ def test_sweep_json_replaces_nan(capsys):
     assert payload["rows"][0][4] is None      # dark fraction undefined at x = 0
     assert payload["rows"][1][4] is not None
     assert [r[0] for r in payload["rows"]] == [0.0, 1.0, 2.0]
+    assert {k: payload["metadata"][k] for k in SERIES_METADATA} == SERIES_METADATA
 
 
 def test_sweep_single_point_matches_rate(capsys):
@@ -544,9 +579,9 @@ def test_report_rendering():
     bad = CheckResult(cid=2, name="beta", expected="2", observed="3",
                       tolerance="0.1", passed=False, source="quoted figure")
     report = ValidationReport(checks=[ok, bad], seed=1)
-    text = report.render_text()
-    assert "PASS" in text and "FAIL" in text
-    assert "1/2 checks passed, 1 FAILED" in text
+    assert "PASS" in ok.line() and "FAIL" in bad.line()
+    assert report.summary() == "1/2 checks passed, 1 FAILED"
+    assert ValidationReport(checks=[ok]).summary() == "1/1 checks passed"
     assert not report.passed
     as_dict = report.to_dict()
     json.dumps(as_dict)

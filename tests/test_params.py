@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +11,7 @@ from photofpt.params import (
     SeriesControl,
     dimensionless_intensity,
     params_for_intensity,
+    tolerance_for,
 )
 
 
@@ -76,34 +77,26 @@ def test_intensity_rejects_negative():
 
 
 def test_tolerance_floor():
-    ctrl = SeriesControl()
     # abs floor wins for small values, rel for large ones
-    assert ctrl.tolerance_for(1e-6) == 1e-12
-    assert ctrl.tolerance_for(10.0) == pytest.approx(1e-8, rel=1e-15)
+    assert tolerance_for(1e-6) == 1e-12
+    assert tolerance_for(-1e-6) == 1e-12
+    assert tolerance_for(10.0) == pytest.approx(1e-8, rel=1e-15)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(n_images=0),
     dict(kl_max=0),
-    dict(abs_tol=0.0),
-    dict(rel_tol=-1e-9),
 ])
 def test_series_control_validation(kwargs):
     with pytest.raises(ValueError):
         SeriesControl(**kwargs)
 
 
-def test_sigma_unit_scaling():
-    assert AtomModel().sigma_unit == 1.0
-    assert AtomModel(a=2.0).sigma_unit == pytest.approx(2.0 ** -3.5, rel=1e-15)
-    assert AtomModel(hbar=3.0, c=2.0).sigma_unit == pytest.approx(3.0 * 2.0 ** 1.5, rel=1e-15)
-
-
-def test_atom_model_validation():
-    with pytest.raises(ValueError):
-        AtomModel(a=0.0)
-    with pytest.raises(ValueError):
-        AtomModel(hbar=-1.0)
+def test_only_truncation_orders_are_settable():
+    # the tolerances are package constants and the atom has no settings
+    assert [f.name for f in fields(SeriesControl)] == ["n_images", "kl_max"]
+    assert fields(AtomModel) == ()
+    assert AtomModel() == AtomModel()
 
 
 def test_default_seed_fits_rng_key():
