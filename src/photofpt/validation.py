@@ -6,8 +6,10 @@ are honest: where a quoted reference figure is not reproduced by the
 mathematics, the check fails and says what was found instead.
 
 The module also houses the independent oracles used by those checks: a
-Crank-Nicolson solver for the 1D absorbing-boundary density, a radial
-finite-difference solver for the driftless sphere exit time, and direct
+Crank-Nicolson solver for the 1D absorbing-boundary density (its march is
+evaluated exactly in the sine eigenbasis of the step matrix, at a cost that
+does not grow with the target time, and is valid while |drift| dx < sigma^2),
+a radial finite-difference solver for the driftless sphere exit time, and direct
 quadrature of survival curves for the mean/survival identity.
 """
 from __future__ import annotations
@@ -17,9 +19,9 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy.fft import dst
 from scipy.integrate import quad, simpson
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import analytic, field, mc
 from .params import (
@@ -34,39 +36,78 @@ from .params import (
 # ---------------------------------------------------------------------------
 # independent oracles
 
+PDE_NX = 4001  # grid points of pde_survival_1d, ends included
+# exp of a symmetrising exponent past this overflows
+_LOG_SCALE_MAX = math.log(np.finfo(float).max)
+
+
+def _pde_march(t_target: float, params: DetectorParams) -> tuple[float, int, float]:
+    """The warm-up time t0 = e_m^2/(32 sigma^2) and the march that
+    pde_survival_1d takes from it: an integer number of steps of at most
+    2.5e-4, at least 64, landing exactly on t_target."""
+    t0 = params.e_m * params.e_m / (32.0 * params.sigma ** 2)
+    if not math.isfinite(t_target):
+        raise ValueError(f"t_target must be finite, got {t_target}")
+    if t_target <= 2.0 * t0:
+        raise ValueError(f"t_target must exceed the warm-up time {t0:g}")
+    nsteps = max(64, math.ceil((t_target - t0) / 2.5e-4))
+    return t0, nsteps, (t_target - t0) / nsteps
+
+
 def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
-                    nx: int = 4001) -> float:
+                    nx: int = PDE_NX) -> float:
     """Survival at t_target from a Crank-Nicolson solve of the density
     equation df/dt = (sigma^2/2) f'' - drift f' with absorbing ends +-e_m.
 
     The delta initial condition is replaced by the exact free Gaussian at a
     small warm-up time t0 = e_m^2/(32 sigma^2); the march then uses an
     integer number of steps of at most 2.5e-4 landing exactly on t_target.
+
+    That march, f_N = ((I+M)^-1 (I-M))^N f_0 on the interior with
+    M = tridiag(-(al+be), 2 al, -(al-be)), is evaluated exactly in the sine
+    eigenbasis of M rather than step by step. D = diag(rho^j) with
+    rho = sqrt((al+be)/(al-be)) makes D^-1 M D symmetric Toeplitz, which the
+    orthonormal DST-I diagonalises, so f_N = D dst(G^N dst(D^-1 f_0)), G
+    being the gain (1-lam)/(1+lam) of each eigenvalue lam. A call costs two
+    transforms, whatever t_target is. rho is real only while
+    |drift| dx < sigma^2, and rho^j must stay inside the float range across
+    the grid; a ValueError is raised otherwise.
     """
+    if not math.isfinite(drift):
+        raise ValueError(f"drift must be finite, got {drift}")
+    if nx < 3:
+        raise ValueError(f"nx must be at least 3, got {nx}")
     a = params.e_m
-    diff = 0.5 * params.sigma ** 2
-    t0 = a * a / (32.0 * params.sigma ** 2)
-    if t_target <= 2.0 * t0:
-        raise ValueError(f"t_target must exceed the warm-up time {t0:g}")
+    t0, nsteps, dt = _pde_march(t_target, params)
     x = np.linspace(-a, a, nx)
-    dx = x[1] - x[0]
+    dx = 2.0 * a / (nx - 1)  # x[1] - x[0] would carry the rounding of x[1]
     var0 = params.sigma ** 2 * t0
     f = np.exp(-(x - drift * t0) ** 2 / (2.0 * var0)) / math.sqrt(2.0 * math.pi * var0)
     f[0] = f[-1] = 0.0
 
-    nsteps = max(64, int(math.ceil((t_target - t0) / 2.5e-4)))
-    dt = (t_target - t0) / nsteps
-    al = diff * dt / (2.0 * dx * dx)
+    al = 0.5 * params.sigma ** 2 * dt / (2.0 * dx * dx)
     be = drift * dt / (4.0 * dx)
+    if abs(be) >= al:
+        raise ValueError(f"|drift| dx = {abs(drift) * dx:g} must be below sigma^2 = "
+                         f"{params.sigma ** 2:g} for a real symmetrisation; raise nx")
     m = nx - 2
-    # the implicit matrix is the same at every step: factor it once
-    lu = dgttrf(np.full(m - 1, -al - be), np.full(m, 1.0 + 2.0 * al), np.full(m - 1, -al + be))
-    if lu[-1]:
-        raise np.linalg.LinAlgError(f"Crank-Nicolson matrix is singular (dgttrf info {lu[-1]})")
-    for _ in range(nsteps):
-        mid = f[1:-1]
-        rhs = mid + al * (f[2:] - 2.0 * mid + f[:-2]) - be * (f[2:] - f[:-2])
-        f[1:-1] = dgttrs(*lu[:-1], rhs)[0]
+    j = np.arange(1, m + 1)
+    # log rho^j relative to the grid centre, so the scale spans exp(+-max)
+    log_scale = (j - 0.5 * (m + 1)) * math.atanh(be / al)
+    if abs(log_scale[0]) > _LOG_SCALE_MAX:
+        raise ValueError(f"|drift| = {abs(drift):g} makes rho^j span "
+                         f"exp(+-{abs(log_scale[0]):.4g}), past the float range")
+    scale = np.exp(log_scale)
+    # eigenvalues 2 al - 2 s cos(k pi/(m+1)), k = 1..m, with al - s written
+    # as be^2/(al + s) so that nothing cancels at small k
+    s = math.sqrt((al - be) * (al + be))
+    lam = 2.0 * be * be / (al + s) + 4.0 * s * np.sin(j * (0.5 * math.pi / (m + 1))) ** 2
+    # |G| = exp(-2 atanh(min(lam, 1/lam))); G < 0 where lam > 1
+    gain = np.exp(-2.0 * nsteps * np.arctanh(np.minimum(lam, 1.0 / lam)))
+    if nsteps % 2:
+        gain[lam > 1.0] *= -1.0
+    coeffs = dst(f[1:-1] / scale, type=1, norm="ortho")
+    f[1:-1] = scale * dst(gain * coeffs, type=1, norm="ortho")
     return float(simpson(f, x=x))
 
 
@@ -297,6 +338,7 @@ def check_08_pde(seed: int) -> CheckResult:
         pde = pde_survival_1d(t, params.i_s, params)
         img = analytic.axis_survival_image(t, params.i_s, params)
         diffs.append((x, abs(pde - img)))
+    t0, nsteps, dt = _pde_march(t, params)
     worst = max(d for _, d in diffs)
     return CheckResult(
         expected="|pde - image| < 1e-5 at x in {0, 2}, t = 0.5 e_m^2/sigma^2",
@@ -304,7 +346,9 @@ def check_08_pde(seed: int) -> CheckResult:
         tolerance="1e-5", passed=worst < 1e-5,
         source="Crank-Nicolson oracle",
         detail=", ".join(f"x={x:g}: {d:.2e}" for x, d in diffs)
-               + "; fixes the tanh(i_s e_m/sigma^2) argument convention")
+               + f"; Crank-Nicolson on {PDE_NX} grid points, {nsteps} steps of dt = {dt:g} "
+               f"from the free Gaussian at t0 = {t0:g}, evaluated in the sine eigenbasis"
+               "; fixes the tanh(i_s e_m/sigma^2) argument convention")
 
 
 def check_09_field_correlation(seed: int) -> CheckResult:

@@ -8,7 +8,10 @@ definition, iterated averaging of partial sums; the lag correlation is integrate
 zeros of the cosine, with the alternating panel tail accelerated by
 iterated averaging of raw partial sums, or by mpmath's oscillatory
 quadrature; the mean hit time of the discrete Euler walk solves the
-one-step renewal equation by Nystrom quadrature, with no sampling.
+one-step renewal equation by Nystrom quadrature, with no sampling; the
+Crank-Nicolson survival is the same march as the package's, stepped one
+step at a time in long double with a Thomas solve instead of evaluated in
+the sine eigenbasis.
 """
 import math
 
@@ -156,3 +159,47 @@ def euler_walk_mean_1d(x: float, dt: float, shift: float, panel: float = 0.5) ->
 
     u = np.linalg.solve(np.eye(y.size) - step(y[:, None], y[None, :]) * w, np.ones(y.size))
     return dt * (1.0 + float(np.dot(step(0.0, y) * w, u)))
+
+
+def cn_survival_longdouble(t_target: float, drift: float, nx: int) -> float:
+    """The Crank-Nicolson march of validation.pde_survival_1d, units
+    e_m = sigma = 1, stepped in np.longdouble: the free Gaussian at
+    t0 = 1/32, then N = max(64, ceil((t_target - t0)/2.5e-4)) steps of
+    (I+M) f_new = (I-M) f, M = tridiag(-(al+be), 2 al, -(al-be)), each one a
+    Thomas solve on the interior, then composite Simpson over the grid, so
+    nx must be odd. About 1 us per grid point and step."""
+    ld = np.longdouble
+    one = ld(1)
+    t0 = one / 32
+    # the step count is an integer: take it as the package does, in float64
+    nsteps = max(64, math.ceil((t_target - 1.0 / 32.0) / 2.5e-4))
+    dt = (ld(t_target) - t0) / nsteps
+    dx = 2 * one / (nx - 1)
+    x = -one + dx * np.arange(nx, dtype=ld)
+    # the free Gaussian of variance t0, pi being 4 atan(1)
+    f = np.exp(-(x - ld(drift) * t0) ** 2 / (2 * t0)) / np.sqrt(8 * np.arctan(one) * t0)
+    f[0] = f[-1] = 0
+    al = dt / (4 * dx * dx)
+    be = ld(drift) * dt / (4 * dx)
+    lo, diag, up = -(al + be), 1 + 2 * al, -(al - be)
+    # the matrix is the same at every step: eliminate it once
+    m = nx - 2
+    inv, cp = [], []
+    prev = ld(0)
+    for _ in range(m):
+        inv.append(one / (diag - lo * prev))
+        prev = up * inv[-1]
+        cp.append(prev)
+    for _ in range(nsteps):
+        mid = f[1:-1]
+        rhs = (mid + al * (f[2:] - 2 * mid + f[:-2]) - be * (f[2:] - f[:-2])).tolist()
+        y = ld(0)
+        for j in range(m):
+            y = (rhs[j] - lo * y) * inv[j]
+            rhs[j] = y
+        for j in range(m - 2, -1, -1):
+            y = rhs[j] - cp[j] * y
+            rhs[j] = y
+        f[1:-1] = rhs
+    simpson = f[0] + f[-1] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum()
+    return float(simpson * dx / 3)

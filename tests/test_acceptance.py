@@ -20,7 +20,8 @@ figure that becomes reproducible while its check still says FAIL, fails the
 test.
 
 A last, fast test runs the four Monte Carlo checks at 1/100 of their paths
-and asserts that each one's detail states the step it actually took.
+and asserts that each one's detail states the step it actually took; another
+asserts that check 8's detail states the grid and march its solver ran.
 """
 import math
 
@@ -112,3 +113,19 @@ def test_mc_check_detail_states_its_step(monkeypatch, cid):
         assert f"dt = {dt:g}" in result.detail, result.detail
     if cid != 12:
         assert f"and {recorder.dts[-1] / 2:g}," in result.detail, result.detail
+
+
+def test_pde_check_detail_states_its_march(monkeypatch):
+    march = validation._pde_march
+    marches = []
+
+    def recording_march(t_target, params):
+        marches.append(march(t_target, params))
+        return marches[-1]
+
+    monkeypatch.setattr(validation, "_pde_march", recording_march)
+    result = run_check(8, DEFAULT_SEED)
+    assert marches
+    for t0, nsteps, dt in marches:
+        assert (f"on {validation.PDE_NX} grid points, {nsteps} steps of dt = {dt:g} "
+                f"from the free Gaussian at t0 = {t0:g}") in result.detail, result.detail
