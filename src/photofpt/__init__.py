@@ -10,6 +10,10 @@ suite tying them together.
 The package namespace carries the names of the README quick start; every
 other name is imported from its submodule: params, analytic, mc, field,
 validation or cli.
+
+No module imports scipy at load time: the functions that need it import
+the part they use on their first call, so `photofpt rate`, `sweep` and
+`mc` on the interval or the cube start without it.
 """
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .params import (ABS_TOL, DetectorParams, SeriesControl, TruncationError,
                      dimensionless_intensity, tolerance_for)
@@ -112,6 +111,8 @@ def axis_survival_image(t: float, drift: float, params: DetectorParams,
     quadrature over the state is involved; weights and normal CDFs are
     combined in log space to keep large-drift terms finite.
     """
+    from scipy.special import log_ndtr
+
     ctrl = ctrl or SeriesControl()
     if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -262,7 +263,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. It holds no
+    function: main looks up cmd_<command> at call time."""
     parser = argparse.ArgumentParser(
         prog="photofpt",
         description="Threshold photodetector model: analytic rates, first-passage "
@@ -272,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="print rates and mean FPTs for one parameter point")
     _add_param_flags(p_rate)
-    p_rate.set_defaults(fn=cmd_rate)
 
     p_sweep = sub.add_parser("sweep", help="rate curve over an intensity grid")
     _add_param_flags(p_sweep)
@@ -282,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", choices=("log", "lin"), default="log")
     p_sweep.add_argument("--out", default=None, help="output path (default stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.set_defaults(fn=cmd_sweep)
 
     p_mc = sub.add_parser("mc", help="Richardson-extrapolated first-passage simulation")
     _add_param_flags(p_mc, cross_section=False)
@@ -294,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_mc.add_argument("--max-time", type=float, default=None,
                       help="censoring cap per path (default 100 e_m^2/sigma^2)")
-    p_mc.set_defaults(fn=cmd_mc)
 
     p_field = sub.add_parser("field", help="correlation table and noise-amplitude report")
     p_field.add_argument("--x-min", type=float, default=0.0, help="first lag tau")
@@ -303,20 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--grid", choices=("log", "lin"), default="lin")
     p_field.add_argument("--out", default=None, help="CSV path (default stdout; the "
                          "noise report then goes to stderr)")
-    p_field.set_defaults(fn=cmd_field)
 
     p_val = sub.add_parser("validate", help="run the full acceptance suite")
     p_val.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_val.add_argument("--out", default=None, help="also write the report as JSON")
-    p_val.set_defaults(fn=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         return _fail(exc, EXIT_USAGE)
     except (TruncationError, QuadratureError) as exc:

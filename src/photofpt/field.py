@@ -7,13 +7,11 @@ amplitude in hbar*c**1.5/a**3.5.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import beta as _beta
-from scipy.special import exp1, expi
 
 from .params import ABS_TOL, REL_TOL, AtomModel, QuadratureError, tolerance_for
 
@@ -36,6 +34,14 @@ def _check_quad(result, what: str) -> None:
             f"{what}: reported error {result[1]:.3e} exceeds tolerance")
 
 
+@functools.cache
+def _exp_integrals():
+    # scipy.special loads on the first call, not with the package; cached,
+    # since a function-level import costs g_tau a sixth of its time
+    from scipy.special import exp1, expi
+    return exp1, expi
+
+
 def g_tau(tau: float) -> float:
     """Correlation value (2/3pi) int_0^inf x^3 cos(tau x)/(x^2+1)^4 dx.
 
@@ -52,6 +58,7 @@ def g_tau(tau: float) -> float:
     if tau == 0.0:
         return G0
     if tau < 40.0:
+        exp1, expi = _exp_integrals()
         t2 = tau * tau
         t3 = t2 * tau
         return float(_PREF * ((t3 / 96.0 - t2 / 32.0 - tau / 32.0) * math.exp(-tau) * expi(tau)
@@ -93,7 +100,8 @@ def g_tau_large(tau: float) -> float:
 
 def moment_integral_exact() -> float:
     """int_0^inf x^6/(x^2+1)^8 dx = B(7/2, 9/2)/2 = 5 pi / 4096."""
-    return 0.5 * float(_beta(3.5, 4.5))
+    from scipy.special import beta
+    return 0.5 * float(beta(3.5, 4.5))
 
 
 def moment_integral() -> tuple[float, float]:
@@ -102,6 +110,7 @@ def moment_integral() -> tuple[float, float]:
 
     Returns (quadrature, closed_form).
     """
+    from scipy.integrate import quad
     res = quad(lambda x: x ** 6 / (x * x + 1.0) ** 8, 0.0, np.inf,
                epsabs=ABS_TOL, epsrel=REL_TOL, full_output=True)
     _check_quad(res, "moment_integral")
@@ -141,6 +150,7 @@ def sigma_const(atom: AtomModel) -> SigmaEstimate:
     The two must agree to 1e-6 relative; neither is fitted to the reference
     figures, which are merely reported for comparison.
     """
+    from scipy.integrate import quad
     res = quad(lambda tau: g_tau(tau) ** 2, 0.0, np.inf, epsabs=ABS_TOL,
                epsrel=REL_TOL, limit=200, full_output=True)
     _check_quad(res, "sigma_const time route")

@@ -29,15 +29,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import zeta
 
 from .params import DetectorParams
 
 _BOUNDARIES = ("interval", "cube", "sphere")
 
 # boundary shift per sigma*sqrt(dt): -zeta(1/2)/sqrt(2 pi), the mean
-# overshoot of a standard Gaussian random walk over a distant level
-BETA = -float(zeta(0.5)) / math.sqrt(2.0 * math.pi)
+# overshoot of a standard Gaussian random walk over a distant level; the
+# literal equals -float(scipy.special.zeta(0.5))/math.sqrt(2*math.pi) bit
+# for bit, so importing mc loads no scipy
+BETA = 0.5825971579390107
 
 # Lockstep blocks of _BLOCK paths. A path of about mu steps, cut into chunks
 # of k steps, pays its draw call and its share of the block's numpy calls

@@ -19,9 +19,6 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.fft import dst
-from scipy.integrate import quad, simpson
-from scipy.linalg import solve_banded
 
 from . import analytic, field, mc
 from .params import (
@@ -71,12 +68,19 @@ def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
     being the gain (1-lam)/(1+lam) of each eigenvalue lam. A call costs two
     transforms, whatever t_target is. rho is real only while
     |drift| dx < sigma^2, and rho^j must stay inside the float range across
-    the grid; a ValueError is raised otherwise.
+    the grid; a ValueError is raised otherwise. So is a grid too coarse to
+    resolve the warm-up Gaussian: its spacing 2 e_m/(nx-1) may be at most
+    half the Gaussian's width e_m/sqrt(32), which holds for nx >= 24 at any
+    e_m and sigma.
     """
+    from scipy.fft import dst
+    from scipy.integrate import simpson
+
     if not math.isfinite(drift):
         raise ValueError(f"drift must be finite, got {drift}")
-    if nx < 3:
-        raise ValueError(f"nx must be at least 3, got {nx}")
+    # 2/(nx-1) <= 1/(2 sqrt(32)), squared
+    if (nx - 1) ** 2 < 512:
+        raise ValueError(f"nx must be at least 24 to resolve the warm-up Gaussian, got {nx}")
     a = params.e_m
     t0, nsteps, dt = _pde_march(t_target, params)
     x = np.linspace(-a, a, nx)
@@ -115,6 +119,8 @@ def radial_mean_exit_time(e_m: float, sigma: float, nr: int = 4001) -> float:
     """Driftless mean exit time from the centered sphere of radius e_m by a
     finite-difference solve of (sigma^2/2)(u'' + 2u'/r) = -1, u(e_m) = 0,
     u'(0) = 0. Returns u(0)."""
+    from scipy.linalg import solve_banded
+
     diff = 0.5 * sigma * sigma
     dr = e_m / (nr - 1)
     m = nr - 1
@@ -149,6 +155,8 @@ def reference_mean(params: DetectorParams, boundary: str) -> float | None:
 def mean_fpt_quadrature(params: DetectorParams, ctrl: SeriesControl | None,
                         dimension: int) -> float:
     """Mean first-passage time as the integral of the survival curve."""
+    from scipy.integrate import quad
+
     if dimension == 1:
         def surv(t: float) -> float:
             return analytic.axis_survival_image(t, params.i_s, params, ctrl)

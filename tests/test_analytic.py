@@ -137,7 +137,7 @@ def test_pde_solver_pinned(x, pinned, longdouble):
     pytest.param(0.5, 0.0, 2, "nx", id="nx-2"),
     pytest.param(0.5, 0.0, 0, "nx", id="nx-0"),
     # |drift| dx = 1.2 and 1.25 >= sigma^2: no real symmetrisation
-    pytest.param(0.5, 6.0, 11, "symmetrisation", id="drift-dx-1.2"),
+    pytest.param(0.5, 60.0, 101, "symmetrisation", id="drift-dx-1.2"),
     pytest.param(0.5, -2500.0, 4001, "symmetrisation", id="drift-dx-1.25"),
     # |drift| dx = 0.5, but rho^j spans exp(+-1098) across the grid
     pytest.param(0.5, 1000.0, 4001, "float range", id="scale-overflow"),
@@ -145,6 +145,25 @@ def test_pde_solver_pinned(x, pinned, longdouble):
 def test_pde_solver_rejects_bad_input(t, drift, nx, match):
     with pytest.raises(ValueError, match=match):
         pde_survival_1d(t, drift, UNIT, nx=nx)
+
+
+@pytest.mark.parametrize("nx", [3, 4, 5, 23])
+@pytest.mark.parametrize("e_m, sigma", [(1.0, 1.0), (3.0, 0.2)])
+def test_pde_solver_rejects_grids_coarser_than_the_warm_up(nx, e_m, sigma):
+    """Below nx = 24 the spacing exceeds half the warm-up Gaussian's width,
+    whatever e_m and sigma are; at nx = 3 Simpson returned a survival of 1.88."""
+    params = DetectorParams(e_m=e_m, sigma=sigma)
+    with pytest.raises(ValueError, match="nx"):
+        pde_survival_1d(0.5 * params.time_scale, 0.0, params, nx=nx)
+
+
+@pytest.mark.parametrize("nx, pinned", [
+    (101, 0.6854720979779377),
+    (201, 0.6854523532441962),
+    (4001, 0.6854457862160055),
+])
+def test_pde_solver_fine_grids_keep_their_values(nx, pinned):
+    assert pde_survival_1d(0.5, 0.0, UNIT, nx=nx) == pinned
 
 
 def test_survival_decreasing_and_bounded():

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from photofpt import analytic, field, validation
+from photofpt import analytic, cli, field, validation
 from photofpt.analytic import mean_fpt_3d, rate_1d, rate_3d
-from photofpt.cli import EXIT_OK, EXIT_QUALITY, EXIT_USAGE, main
+from photofpt.cli import EXIT_OK, EXIT_QUALITY, EXIT_USAGE, build_parser, main
 from photofpt.mc import MCConfig
 from photofpt.params import (DetectorParams, QuadratureError, TruncationError,
                              params_for_intensity)
@@ -554,6 +554,25 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("photofpt ")
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_carries_no_value_between_calls(capsys):
+    build_parser.cache_clear()
+    first = run_cli(capsys, "rate")
+    assert run_cli(capsys, "rate", "--em", "3", "--is", "1")[1] != first[1]
+    assert run_cli(capsys, "rate") == first
+
+
+def test_main_looks_up_the_command_at_call_time(monkeypatch, capsys):
+    run_cli(capsys, "rate")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_rate", lambda args: seen.append(args.i_s) or EXIT_QUALITY)
+    assert main(["rate"]) == EXIT_QUALITY
+    assert seen == [0.0]
 
 
 def test_criteria_registry():

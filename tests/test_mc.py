@@ -70,6 +70,12 @@ def test_beta_is_the_gaussian_overshoot_constant():
                                  rel=0, abs=1e-15)
 
 
+def test_beta_literal_is_the_scipy_expression_bit_for_bit():
+    # every pinned Monte Carlo value was drawn with the computed constant
+    from scipy.special import zeta
+    assert BETA == -float(zeta(0.5)) / math.sqrt(2 * math.pi)
+
+
 @pytest.mark.parametrize("boundary", ["interval", "cube", "sphere"])
 def test_each_leg_tests_its_shifted_threshold(monkeypatch, boundary):
     params = DetectorParams(e_m=2.0, sigma=0.5, i_s=0.3)

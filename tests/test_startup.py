@@ -1,0 +1,53 @@
+"""Start-up: what a fresh interpreter loads, and `python -m photofpt`.
+
+Each test runs a new interpreter with src/ on the path, since modules that
+an earlier test imported stay loaded for the rest of the session.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from photofpt import __version__
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the commands that read the rate curve, none of which needs scipy
+GUARD = """
+import contextlib, io, json, sys
+import photofpt
+from photofpt import cli, field
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["rate", "--is", "3"], ["sweep", "--points", "5"],
+                 ["mc", "--paths", "200"], ["mc", "--dim", "3", "--paths", "200"]):
+        codes.append(cli.main(argv))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+field.g_tau(1.0)
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "after_g_tau": "scipy.special" in sys.modules}))
+"""
+
+
+def _python(*args, cwd=None) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_rate_sweep_and_mc_load_no_scipy():
+    proc = _python("-c", GUARD)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["loaded"] == []
+    # the exponential integrals load on g_tau's first call
+    assert result["after_g_tau"]
+
+
+def test_python_m_photofpt_runs_the_cli(tmp_path):
+    proc = _python("-m", "photofpt", "--version", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"photofpt {__version__}\n"
