@@ -12,8 +12,10 @@ other name is imported from its submodule: params, analytic, mc, field,
 validation or cli.
 
 No module imports scipy at load time: the functions that need it import
-the part they use on their first call, so `photofpt rate`, `sweep` and
-`mc` on the interval or the cube start without it.
+the part they use on their first call. Those are `field`, the image-sum
+survivals and the survival quadratures, which checks 7 to 11 of `validate`
+reach; `photofpt rate`, `sweep` and `mc` on every boundary, and the two
+finite-difference oracles in `validation`, run on numpy alone.
 """
 
 __version__ = "0.1.0"

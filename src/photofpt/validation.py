@@ -9,8 +9,10 @@ The module also houses the independent oracles used by those checks: a
 Crank-Nicolson solver for the 1D absorbing-boundary density (its march is
 evaluated exactly in the sine eigenbasis of the step matrix, at a cost that
 does not grow with the target time, and is valid while |drift| dx < sigma^2),
-a radial finite-difference solver for the driftless sphere exit time, and direct
-quadrature of survival curves for the mean/survival identity.
+a radial finite-difference solver for the driftless sphere exit time (its
+tridiagonal system solved in closed form), and direct quadrature of survival
+curves for the mean/survival identity. The first two run on numpy alone;
+the quadrature loads scipy.integrate on its first call.
 """
 from __future__ import annotations
 
@@ -36,6 +38,33 @@ from .params import (
 PDE_NX = 4001  # grid points of pde_survival_1d, ends included
 # exp of a symmetrising exponent past this overflows
 _LOG_SCALE_MAX = math.log(np.finfo(float).max)
+
+
+def _dst1(v: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of v, sqrt(2/(m+1)) sum_n v_n sin(pi (k+1)(n+1)/(m+1)),
+    from the real FFT of the odd extension [0, v, 0, -v reversed]: its
+    imaginary parts 1..m are -1/2 the unnormalised transform. The factor
+    1/sqrt(2(m+1)) is rounded from long double, as pocketfft rounds it, so
+    the result is scipy.fft.dst(v, type=1, norm="ortho") to round-off."""
+    m = v.size
+    ext = np.zeros(2 * (m + 1))
+    ext[1:m + 1] = v
+    ext[m + 2:] = -v[::-1]
+    fct = float(1.0 / np.sqrt(np.longdouble(2 * (m + 1))))
+    return np.fft.rfft(ext).imag[1:m + 1] * -fct
+
+
+def _simpson(f: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule of f on the odd-length grid x, each panel
+    weighted by its own two spacings h0, h1 as scipy.integrate.simpson(f, x=x)
+    weights it, in the same order of operations."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    return float(np.sum(hsum / 6.0 * (f[:-2:2] * (2.0 - 1.0 / ratio)
+                                      + f[1:-1:2] * (hsum * (hsum / (h0 * h1)))
+                                      + f[2::2] * (2.0 - ratio))))
 
 
 def _pde_march(t_target: float, params: DetectorParams) -> tuple[float, int, float]:
@@ -66,21 +95,29 @@ def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
     rho = sqrt((al+be)/(al-be)) makes D^-1 M D symmetric Toeplitz, which the
     orthonormal DST-I diagonalises, so f_N = D dst(G^N dst(D^-1 f_0)), G
     being the gain (1-lam)/(1+lam) of each eigenvalue lam. A call costs two
-    transforms, whatever t_target is. rho is real only while
-    |drift| dx < sigma^2, and rho^j must stay inside the float range across
-    the grid; a ValueError is raised otherwise. So is a grid too coarse to
+    transforms, whatever t_target is; both are numpy real FFTs (_dst1), and
+    the survival is the composite Simpson rule over the grid (_simpson), so
+    the call loads no scipy. rho is real only while |drift| dx < sigma^2,
+    and rho^j must stay inside the float range across the grid; a
+    ValueError is raised otherwise. So is a grid too coarse to
     resolve the warm-up Gaussian: its spacing 2 e_m/(nx-1) may be at most
     half the Gaussian's width e_m/sqrt(32), which holds for nx >= 24 at any
-    e_m and sigma.
-    """
-    from scipy.fft import dst
-    from scipy.integrate import simpson
+    e_m and sigma; and so is an even nx, which Simpson's panels do not fit.
 
+    The march damps its high modes only as exp(-2N/lam), so the edge of the
+    clipped warm-up Gaussian oscillates; at large drift that drives the
+    survival below zero (-1.6e-7 at drift 20, t = 0.5, e_m = sigma = 1), and a
+    ValueError naming the drift is raised in place of the negative value.
+    For |drift| e_m/sigma^2 <= 3 at t_target = 0.5 e_m^2/sigma^2 it agrees
+    with the image sum to 1e-7.
+    """
     if not math.isfinite(drift):
         raise ValueError(f"drift must be finite, got {drift}")
     # 2/(nx-1) <= 1/(2 sqrt(32)), squared
     if (nx - 1) ** 2 < 512:
         raise ValueError(f"nx must be at least 24 to resolve the warm-up Gaussian, got {nx}")
+    if nx % 2 == 0:
+        raise ValueError(f"nx must be odd for the composite Simpson rule, got {nx}")
     a = params.e_m
     t0, nsteps, dt = _pde_march(t_target, params)
     x = np.linspace(-a, a, nx)
@@ -110,32 +147,44 @@ def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
     gain = np.exp(-2.0 * nsteps * np.arctanh(np.minimum(lam, 1.0 / lam)))
     if nsteps % 2:
         gain[lam > 1.0] *= -1.0
-    coeffs = dst(f[1:-1] / scale, type=1, norm="ortho")
-    f[1:-1] = scale * dst(gain * coeffs, type=1, norm="ortho")
-    return float(simpson(f, x=x))
+    coeffs = _dst1(f[1:-1] / scale)
+    f[1:-1] = scale * _dst1(gain * coeffs)
+    survival = _simpson(f, x)
+    if survival < 0.0:
+        raise ValueError(f"drift = {drift:g} gives a negative survival {survival:.3g}: "
+                         "the march leaves the edge of the clipped warm-up Gaussian "
+                         "oscillating")
+    return survival
 
 
 def radial_mean_exit_time(e_m: float, sigma: float, nr: int = 4001) -> float:
     """Driftless mean exit time from the centered sphere of radius e_m by a
     finite-difference solve of (sigma^2/2)(u'' + 2u'/r) = -1, u(e_m) = 0,
-    u'(0) = 0. Returns u(0)."""
-    from scipy.linalg import solve_banded
+    u'(0) = 0, on nr grid points r_j = j dr, dr = e_m/m, m = nr - 1. Returns
+    u(0).
 
+    The tridiagonal system is solved in closed form. With D = sigma^2/2,
+    rows j = 1..m-1 are (D/dr^2)(u_{j-1} - 2u_j + u_{j+1})
+    + (D/(j dr^2))(u_{j+1} - u_{j-1}) = -1; in w_j = j u_j they become the
+    second difference w_{j-1} - 2w_j + w_{j+1} = -j dr^2/D, with w_0 = 0 and
+    w_m = 0 from the absorbing end u_m = 0. Its solution is
+    w_j = j (m^2 - j^2) dr^2/(6D), so u_1 = (m^2 - 1) dr^2/(6D). Row 0, the
+    Laplacian's limit 3u''(0) with a symmetric ghost point, gives
+    u_1 - u_0 = -dr^2/(6D), hence u_0 = (m dr)^2/(6D). The scheme is exact
+    on the quadratic solution u = (e_m^2 - r^2)/(3 sigma^2), so at every nr
+    this is e_m^2/(3 sigma^2) up to the rounding of m dr. nr must be at
+    least 3, and e_m and sigma finite and positive; a ValueError is raised
+    otherwise.
+    """
+    if nr < 3:
+        raise ValueError(f"nr must be at least 3, got {nr}")
+    for name, value in (("e_m", e_m), ("sigma", sigma)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     diff = 0.5 * sigma * sigma
-    dr = e_m / (nr - 1)
     m = nr - 1
-    c_lap = diff / dr ** 2
-    # grid rows j = 1 .. m-1 at r = j dr; row m is the absorbing end u = 0
-    c_drv = diff / (np.arange(1, m) * dr * dr)
-    ab = np.zeros((3, m))
-    ab[2, :-1] = c_lap - c_drv
-    ab[1, 1:] = -2.0 * c_lap
-    ab[0, 2:] = (c_lap + c_drv)[:-1]
-    # r = 0: the radial Laplacian degenerates to 3 u''(0) with symmetric ghost
-    ab[1, 0] = -6.0 * diff / dr ** 2
-    ab[0, 1] = 6.0 * diff / dr ** 2
-    u = solve_banded((1, 1), ab, np.full(m, -1.0))
-    return float(u[0])
+    dr = e_m / m
+    return (m * dr) ** 2 / (6.0 * diff)
 
 
 def reference_mean(params: DetectorParams, boundary: str) -> float | None:

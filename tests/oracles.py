@@ -11,13 +11,16 @@ quadrature; the mean hit time of the discrete Euler walk solves the
 one-step renewal equation by Nystrom quadrature, with no sampling; the
 Crank-Nicolson survival is the same march as the package's, stepped one
 step at a time in long double with a Thomas solve instead of evaluated in
-the sine eigenbasis.
+the sine eigenbasis; the radial finite-difference mean is the banded
+LAPACK solve of the tridiagonal system that the package solves in closed
+form.
 """
 import math
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 
 def cube_dark_mean_mpmath(dps: int = 20) -> float:
@@ -203,3 +206,24 @@ def cn_survival_longdouble(t_target: float, drift: float, nx: int) -> float:
         f[1:-1] = rhs
     simpson = f[0] + f[-1] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum()
     return float(simpson * dx / 3)
+
+
+def radial_fd_banded(e_m: float, sigma: float, nr: int) -> float:
+    """The finite-difference system of validation.radial_mean_exit_time,
+    (sigma^2/2)(u'' + 2u'/r) = -1 on r_j = j dr with u(e_m) = 0 and the
+    r = 0 row 3 u''(0) from a symmetric ghost point, solved by LAPACK's
+    banded solver. Returns u(0)."""
+    diff = 0.5 * sigma * sigma
+    dr = e_m / (nr - 1)
+    m = nr - 1
+    c_lap = diff / dr ** 2
+    # grid rows j = 1 .. m-1 at r = j dr; row m is the absorbing end u = 0
+    c_drv = diff / (np.arange(1, m) * dr * dr)
+    ab = np.zeros((3, m))
+    ab[2, :-1] = c_lap - c_drv
+    ab[1, 1:] = -2.0 * c_lap
+    ab[0, 2:] = (c_lap + c_drv)[:-1]
+    ab[1, 0] = -6.0 * diff / dr ** 2
+    ab[0, 1] = 6.0 * diff / dr ** 2
+    u = solve_banded((1, 1), ab, np.full(m, -1.0))
+    return float(u[0])

@@ -36,7 +36,7 @@ from photofpt.params import (
     TruncationError,
     params_for_intensity,
 )
-from photofpt.validation import mean_fpt_quadrature, pde_survival_1d
+from photofpt.validation import _dst1, mean_fpt_quadrature, pde_survival_1d
 
 UNIT = DetectorParams(e_m=1.0, sigma=1.0)
 
@@ -141,6 +141,13 @@ def test_pde_solver_pinned(x, pinned, longdouble):
     pytest.param(0.5, -2500.0, 4001, "symmetrisation", id="drift-dx-1.25"),
     # |drift| dx = 0.5, but rho^j spans exp(+-1098) across the grid
     pytest.param(0.5, 1000.0, 4001, "float range", id="scale-overflow"),
+    # composite Simpson needs an even number of panels
+    pytest.param(0.5, 0.0, 100, "nx", id="nx-100"),
+    pytest.param(0.5, 0.0, 4000, "nx", id="nx-4000"),
+    # the clipped warm-up Gaussian's edge oscillates under the march and
+    # drives the survival to -1.6e-7 and -9.4e-9
+    pytest.param(0.5, 20.0, 4001, "drift = 20 gives a negative survival", id="drift-20"),
+    pytest.param(0.5, 50.0, 4001, "drift = 50 gives a negative survival", id="drift-50"),
 ])
 def test_pde_solver_rejects_bad_input(t, drift, nx, match):
     with pytest.raises(ValueError, match=match):
@@ -164,6 +171,22 @@ def test_pde_solver_rejects_grids_coarser_than_the_warm_up(nx, e_m, sigma):
 ])
 def test_pde_solver_fine_grids_keep_their_values(nx, pinned):
     assert pde_survival_1d(0.5, 0.0, UNIT, nx=nx) == pinned
+
+
+@pytest.mark.parametrize("drift", [0.0, 2.0, -3.0])
+def test_pde_solver_long_time_survival_stays_positive(drift):
+    # 1.2e-56 at drift 2: tiny, but the check on negative survivals must pass it
+    assert 0.0 < pde_survival_1d(40.0, drift, UNIT) < 1e-20
+
+
+def test_numpy_dst1_matches_scipy():
+    from scipy.fft import dst
+
+    rng = np.random.default_rng(5)
+    for m in range(22, 601):
+        v = rng.standard_normal(m)
+        ref = dst(v, type=1, norm="ortho")
+        assert np.max(np.abs(_dst1(v) - ref)) <= 1e-15 * np.max(np.abs(ref)), m
 
 
 def test_survival_decreasing_and_bounded():

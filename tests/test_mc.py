@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
-from oracles import euler_walk_mean_1d
+from oracles import euler_walk_mean_1d, radial_fd_banded
 
 from photofpt import mc
 from photofpt.analytic import mean_fpt_1d, mean_fpt_3d
@@ -167,6 +167,33 @@ def test_richardson_sphere_matches_radial_solver():
                    dimension=3, boundary="sphere")
     rich = simulate_fpt_richardson(cfg)
     assert abs(zscore(ref, rich.extrapolated)) < 3.0
+
+
+@pytest.mark.parametrize("nr", [3, 11, 101, 4001])
+@pytest.mark.parametrize("e_m, sigma", [(1.0, 1.0), (2.0, 0.5), (3.0, 0.2)])
+def test_radial_closed_form_matches_banded_solve(nr, e_m, sigma):
+    """The closed-form u_0 is the solution of the same tridiagonal system
+    that LAPACK's banded solver finds, to the solver's round-off."""
+    assert radial_mean_exit_time(e_m, sigma, nr=nr) == pytest.approx(
+        radial_fd_banded(e_m, sigma, nr), rel=1e-12)
+
+
+@pytest.mark.parametrize("e_m, sigma, nr, match", [
+    pytest.param(1.0, 1.0, 2, "nr", id="nr-2"),
+    pytest.param(1.0, 1.0, 1, "nr", id="nr-1"),
+    pytest.param(1.0, 1.0, 0, "nr", id="nr-0"),
+    pytest.param(math.inf, 1.0, 101, "e_m", id="em-inf"),
+    pytest.param(math.nan, 1.0, 101, "e_m", id="em-nan"),
+    pytest.param(0.0, 1.0, 101, "e_m", id="em-0"),
+    pytest.param(-1.0, 1.0, 101, "e_m", id="em-negative"),
+    pytest.param(1.0, 0.0, 101, "sigma", id="sigma-0"),
+    pytest.param(1.0, math.inf, 101, "sigma", id="sigma-inf"),
+    pytest.param(1.0, math.nan, 101, "sigma", id="sigma-nan"),
+    pytest.param(1.0, -1.0, 101, "sigma", id="sigma-negative"),
+])
+def test_radial_solver_rejects_bad_input(e_m, sigma, nr, match):
+    with pytest.raises(ValueError, match=match):
+        radial_mean_exit_time(e_m, sigma, nr=nr)
 
 
 def test_reference_mean_per_boundary():
