@@ -101,8 +101,31 @@ def _accelerated_alternating_sum(signed_terms: np.ndarray) -> tuple[np.ndarray, 
     return 0.5 * (a + b), 0.5 * np.abs(b - a)
 
 
-def axis_survival_image(t: float, drift: float, params: DetectorParams,
-                        ctrl: SeriesControl | None = None) -> float:
+def _times(t) -> tuple[np.ndarray, bool]:
+    """t as a flat float array, and whether it was given as a scalar."""
+    ts = np.asarray(t, dtype=float)
+    flat = ts.reshape(-1)
+    # a NaN fails both comparisons
+    if flat.size and not (flat.min() > 0 and flat.max() < math.inf):
+        bad = flat[~((flat > 0) & (flat < math.inf))]
+        raise ValueError(f"t must be finite and > 0, got {bad[0]}")
+    return flat, ts.ndim == 0
+
+
+def _unit_interval(value: np.ndarray, ts: np.ndarray, what: str) -> np.ndarray:
+    # only a finite value is clipped; a NaN or an infinity must not pass as 0 or 1
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"{what} is not finite at t = {ts[~finite][0]}")
+    return np.minimum(np.maximum(value, 0.0), 1.0)
+
+
+def _as_given(value: np.ndarray, t, scalar: bool):
+    return float(value[0]) if scalar else value.reshape(np.shape(t))
+
+
+def axis_survival_image(t, drift: float, params: DetectorParams,
+                        ctrl: SeriesControl | None = None):
     """Survival probability of one axis by the method of images.
 
     Probability that a diffusion with the given drift and diffusion
@@ -110,68 +133,86 @@ def axis_survival_image(t: float, drift: float, params: DetectorParams,
     Each image term is the exact Gaussian integral over (-e_m, e_m), so no
     quadrature over the state is involved; weights and normal CDFs are
     combined in log space to keep large-drift terms finite.
+
+    t may be a float, which gives a float, or an array of finite positive
+    times, which gives an array of their survivals: the image sums are laid
+    out one row per time and each element meets the truncation guards on
+    its own. The survival is even in the drift, so -drift gives the value
+    at +drift. A NaN drift, or terms that overflow where the drift or t is
+    extreme, raise ValueError.
     """
     from scipy.special import log_ndtr
 
     ctrl = ctrl or SeriesControl()
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    ts, scalar = _times(t)
+    drift = abs(drift)
     a = params.e_m
     sig2 = params.sigma ** 2
-    root_t = params.sigma * math.sqrt(t)
+    root_t = params.sigma * np.sqrt(ts)[:, None]
 
     n = np.arange(-ctrl.n_images, ctrl.n_images + 1)
     centers = 2.0 * a * n
-    log_weight = -centers * drift / sig2
-    upper = (centers + a - drift * t) / root_t
-    lower = (centers - a - drift * t) / root_t
-    terms = np.exp(log_weight + log_ndtr(upper)) - np.exp(log_weight + log_ndtr(lower))
-    signed = np.where(n % 2 == 0, terms, -terms)
-    value = float(signed.sum())
+    # overflows give +-inf bounds and weights; a term they make NaN or
+    # infinite is rejected below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = drift * ts[:, None]
+        log_weight = -centers * drift / sig2
+        upper = (centers + a - shift) / root_t
+        lower = (centers - a - shift) / root_t
+        terms = np.exp(log_weight + log_ndtr(upper)) - np.exp(log_weight + log_ndtr(lower))
+        signed = np.where(n % 2 == 0, terms, -terms)
+    value = signed.sum(axis=-1)
 
-    # alternating image shells decrease once past the direct term, so the
-    # first omitted shell is bounded by the last kept one
-    mags = np.abs(terms)
-    shells = mags[ctrl.n_images:].copy()
-    shells[1:] += mags[:ctrl.n_images][::-1]
-    tail = float(shells[-1])
-    if shells.size >= 3 and tail > shells[-2] and tail > ABS_TOL:
-        raise TruncationError(
-            f"image shells still growing at n_images={ctrl.n_images} (t={t}, drift={drift})")
-    if tail > tolerance_for(value):
-        raise TruncationError(
-            f"image tail {tail:.3e} exceeds tolerance at n_images={ctrl.n_images}")
-    return min(1.0, max(0.0, value))
+    # alternating image shells |term(-j)| + |term(+j)| decrease once past the
+    # direct term, so the first omitted shell is bounded by the last kept one
+    mags = np.abs(terms[:, [0, 1, -2, -1]])
+    tail = mags[:, 3] + mags[:, 0]
+    if ctrl.n_images >= 2:
+        growing = (tail > mags[:, 2] + mags[:, 1]) & (tail > ABS_TOL)
+        if growing.any():
+            raise TruncationError(f"image shells still growing at n_images={ctrl.n_images} "
+                                  f"(t={ts[growing][0]}, drift={drift})")
+    over = tail > tolerance_for(value)
+    if over.any():
+        raise TruncationError(f"image tail {tail[over][0]:.3e} exceeds tolerance at "
+                              f"n_images={ctrl.n_images} (t={ts[over][0]})")
+    return _as_given(_unit_interval(value, ts, f"the image sum at drift {drift:g}"), t, scalar)
 
 
-def axis_survival_spectral(t: float, params: DetectorParams,
-                           ctrl: SeriesControl | None = None) -> float:
+def axis_survival_spectral(t, params: DetectorParams,
+                           ctrl: SeriesControl | None = None):
     """Driftless-axis survival by the absorbing-interval eigenfunction series.
 
     K(t) = (4/pi) sum_k (-1)^k/(2k+1) exp(-(2k+1)^2 pi^2 sigma^2 t / (8 e_m^2)),
     Euler-accelerated so the slowly alternating small-t regime still meets
-    tolerance at the default truncation.
+    tolerance at the default truncation. t may be a float or an array of
+    finite positive times, as for axis_survival_image.
     """
     ctrl = ctrl or SeriesControl()
-    if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    ts, scalar = _times(t)
     k = np.arange(ctrl.kl_max)
     odd = 2.0 * k + 1.0
-    decay = np.exp(-odd ** 2 * math.pi ** 2 * params.sigma ** 2 * t / (8.0 * params.e_m ** 2))
+    # an exponent that overflows to -inf decays to the right 0
+    with np.errstate(over="ignore"):
+        decay = np.exp(-odd ** 2 * math.pi ** 2 * params.sigma ** 2 * ts[:, None]
+                       / (8.0 * params.e_m ** 2))
     signed = (4.0 / math.pi) * np.where(k % 2 == 0, 1.0, -1.0) / odd * decay
-    value, residual = map(float, _accelerated_alternating_sum(signed))
-    if residual > tolerance_for(value):
-        raise TruncationError(
-            f"spectral tail estimate {residual:.3e} exceeds tolerance at kl_max={ctrl.kl_max}")
-    return min(1.0, max(0.0, value))
+    # each time's series as a 1 x kl_max matrix, so that the Euler contraction
+    # is one dot product per time and a time sums alike alone or in a batch
+    value, residual = (v[:, 0] for v in _accelerated_alternating_sum(signed[:, None, :]))
+    over = residual > tolerance_for(value)
+    if over.any():
+        raise TruncationError(f"spectral tail estimate {residual[over][0]:.3e} exceeds "
+                              f"tolerance at kl_max={ctrl.kl_max} (t={ts[over][0]})")
+    return _as_given(_unit_interval(value, ts, "the spectral sum"), t, scalar)
 
 
-def survival_3d(t: float, params: DetectorParams,
-                ctrl: SeriesControl | None = None) -> float:
+def survival_3d(t, params: DetectorParams, ctrl: SeriesControl | None = None):
     """Cube survival probability at time t, K**2 * L: K is the factor of each
-    driftless axis (image form at drift 0), L that of the drift axis."""
+    driftless axis (image form at drift 0), L that of the drift axis. t may
+    be a float or an array, as for axis_survival_image."""
     k_fac = axis_survival_image(t, 0.0, params, ctrl)
-    l_fac = axis_survival_image(t, params.i_s, params, ctrl)
+    l_fac = axis_survival_image(t, params.i_s, params, ctrl) if params.i_s else k_fac
     return k_fac ** 2 * l_fac
 
 
@@ -190,7 +231,7 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     acceleration residual is the reported tail estimate.
     """
     ctrl = ctrl or SeriesControl()
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
     odd = 2.0 * np.arange(ctrl.kl_max) + 1.0
     ok = odd[:, None]

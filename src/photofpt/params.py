@@ -9,6 +9,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 
 # default RNG seed for every command that is not given one explicitly,
 # fixed (not wall clock) so unseeded runs are reproducible
@@ -108,8 +110,9 @@ ABS_TOL = 1e-12
 REL_TOL = 1e-9
 
 
-def tolerance_for(value: float) -> float:
-    return max(ABS_TOL, REL_TOL * abs(value))
+def tolerance_for(value):
+    # element by element for an array of values
+    return np.maximum(ABS_TOL, REL_TOL * np.abs(value))
 
 
 @dataclass(frozen=True)

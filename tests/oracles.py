@@ -13,7 +13,9 @@ Crank-Nicolson survival is the same march as the package's, stepped one
 step at a time in long double with a Thomas solve instead of evaluated in
 the sine eigenbasis; the radial finite-difference mean is the banded
 LAPACK solve of the tridiagonal system that the package solves in closed
-form.
+form. The scalar image sum is the one exception: it is the package's
+survival as it was evaluated one time at a time, kept so that the array
+form can be pinned to it bit for bit.
 """
 import math
 
@@ -21,6 +23,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
+from scipy.special import log_ndtr
 
 
 def cube_dark_mean_mpmath(dps: int = 20) -> float:
@@ -227,3 +230,21 @@ def radial_fd_banded(e_m: float, sigma: float, nr: int) -> float:
     ab[0, 1] = 6.0 * diff / dr ** 2
     u = solve_banded((1, 1), ab, np.full(m, -1.0))
     return float(u[0])
+
+
+def image_survival_scalar(t: float, drift: float, e_m: float, sigma: float,
+                          n_images: int = 30) -> float:
+    """The image-sum survival of one axis at one time, in the arithmetic the
+    package used before it took arrays of t: the 2 n_images + 1 image terms
+    exp(log weight + log Phi(upper)) - exp(log weight + log Phi(lower))
+    summed with alternating signs, clipped to [0, 1]. The truncation guards
+    are left out."""
+    sig2 = sigma ** 2
+    root_t = sigma * math.sqrt(t)
+    n = np.arange(-n_images, n_images + 1)
+    centers = 2.0 * e_m * n
+    log_weight = -centers * drift / sig2
+    upper = (centers + e_m - drift * t) / root_t
+    lower = (centers - e_m - drift * t) / root_t
+    terms = np.exp(log_weight + log_ndtr(upper)) - np.exp(log_weight + log_ndtr(lower))
+    return min(1.0, max(0.0, float(np.where(n % 2 == 0, terms, -terms).sum())))

@@ -7,15 +7,17 @@ is itself checked against the same march stepped in long double), and the
 mean first-passage times against direct quadrature of the survival curve.
 """
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from oracles import (DARK_MEAN_3D, DARK_RATE_3D, cn_survival_longdouble,
-                     cube_dark_mean_mpmath, f3_split, iterated_average_sum)
+                     cube_dark_mean_mpmath, f3_split, image_survival_scalar,
+                     iterated_average_sum)
 
-from photofpt import analytic
+from photofpt import analytic, validation
 from photofpt.analytic import (
     _accelerated_alternating_sum,
     axis_survival_image,
@@ -32,6 +34,7 @@ from photofpt.analytic import (
 from photofpt.mc import MCConfig, _sample
 from photofpt.params import (
     DetectorParams,
+    QuadratureError,
     SeriesControl,
     TruncationError,
     params_for_intensity,
@@ -213,9 +216,115 @@ def test_survival_requires_positive_time():
         axis_survival_spectral(-1.0, UNIT)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, [0.5, math.nan], [[0.5], [0.0]]])
+def test_survivals_reject_times_that_are_not_finite_and_positive(t):
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        axis_survival_image(t, 1.0, UNIT)
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        axis_survival_spectral(t, UNIT)
+
+
+def test_survivals_take_arrays_of_t():
+    """A float gives a float; an array gives an array of its shape, each
+    element the value of its time alone."""
+    lit = params_for_intensity(1.0)
+    ts = np.array([[0.1, 0.5], [1.0, 2.0]])
+    for fn in (lambda t: axis_survival_image(t, lit.i_s, lit),
+               lambda t: axis_survival_spectral(t, lit)):
+        assert type(fn(0.5)) is float
+        got = fn(ts)
+        assert got.shape == ts.shape
+        assert got.tolist() == [[fn(float(t)) for t in row] for row in ts]
+    assert type(survival_3d(0.5, lit)) is float
+    assert survival_3d(ts, lit) == pytest.approx(
+        np.array([[survival_3d(float(t), lit) for t in row] for row in ts]), rel=1e-15, abs=0.0)
+
+
+def test_image_sum_rejects_nan_drift():
+    with pytest.raises(ValueError, match="drift"):
+        axis_survival_image(0.5, math.nan, UNIT)
+
+
+def test_image_sum_is_even_in_the_drift():
+    """Negative drift used to overflow the image weights, warn and return 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert axis_survival_image(0.5, -50.0, UNIT) == 6.326050948194701e-254
+    assert axis_survival_image(0.5, 50.0, UNIT) == 6.326050948194701e-254
+    ts = np.geomspace(0.01, 5.0, 9)
+    assert np.array_equal(axis_survival_image(ts, -2.5, UNIT), axis_survival_image(ts, 2.5, UNIT))
+
+
+@settings(max_examples=300)
+@given(ts=st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=1, max_size=6),
+       drift=st.floats())
+def test_image_sum_is_a_probability_or_raises(ts, drift):
+    """Any drift, NaN and infinities included, and any positive times: every
+    element is in [0, 1], or the call raises ValueError or TruncationError,
+    and nothing warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = axis_survival_image(np.array(ts), drift, UNIT)
+        except (ValueError, TruncationError):
+            return
+    assert np.all((values >= 0.0) & (values <= 1.0)), values
+
+
+CHECK_7_TIMES = np.geomspace(0.05, 10.0, 60)
+
+
+def _quadrature_times(monkeypatch, x: float, dimension: int) -> np.ndarray:
+    """Every t at which mean_fpt_quadrature evaluates an image sum at x."""
+    seen = []
+    image = analytic.axis_survival_image
+
+    def record(t, *args, **kwargs):
+        seen.append(np.atleast_1d(t))
+        return image(t, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "axis_survival_image", record)
+        mean_fpt_quadrature(params_for_intensity(x), None, dimension)
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, 5.0, 1e4])
+def test_batched_image_sum_is_the_scalar_sum(monkeypatch, x):
+    """The array form sums each row in the order the scalar sum did: equal
+    by == on check 7's grid and on every node of the survival quadrature."""
+    p = params_for_intensity(x)
+    ts = np.concatenate((CHECK_7_TIMES, _quadrature_times(monkeypatch, x, 1)))
+    for drift in {0.0, p.i_s}:
+        want = [image_survival_scalar(float(t), drift, p.e_m, p.sigma) for t in ts]
+        assert axis_survival_image(ts, drift, p).tolist() == want
+
+
+def _spectral_scalar(t: float) -> float:
+    """The spectral survival at e_m = sigma = 1 as it was summed for one t,
+    the Euler contraction on a 1-D series."""
+    k = np.arange(60)
+    odd = 2.0 * k + 1.0
+    decay = np.exp(-odd ** 2 * math.pi ** 2 * 1.0 * t / 8.0)
+    signed = (4.0 / math.pi) * np.where(k % 2 == 0, 1.0, -1.0) / odd * decay
+    return min(1.0, max(0.0, float(_accelerated_alternating_sum(signed)[0])))
+
+
+def test_batched_spectral_sum_matches_the_scalar_sum():
+    ts = np.concatenate((CHECK_7_TIMES, np.geomspace(1e-6, 30.0, 301)))
+    got = axis_survival_spectral(ts, UNIT)
+    for t, value in zip(ts, got):
+        assert abs(value - _spectral_scalar(float(t))) <= 4e-16, t
+
+
 def test_spectral_short_time_limit():
     # acceleration keeps the slowly alternating small-t series at 1
     assert axis_survival_spectral(1e-12, UNIT) == 1.0
+
+
+def test_spectral_survival_at_huge_time_is_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert axis_survival_spectral(1e306, UNIT) == 0.0
 
 
 def test_spectral_long_time_leading_term():
@@ -283,6 +392,11 @@ def test_double_series_asymptote_holds_where_x_squared_overflows(x):
 def test_double_series_rejects_negative():
     with pytest.raises(ValueError):
         f3_series(-1.0)
+
+
+def test_double_series_rejects_nan():
+    with pytest.raises(ValueError):
+        f3_series(math.nan)
 
 
 def test_double_series_truncation_guard():
@@ -374,6 +488,38 @@ def test_mean_equals_survival_quadrature(dimension, x):
     mean = mean_fpt_1d(p) if dimension == 1 else mean_fpt_3d(p)
     ref = mean_fpt_quadrature(p, None, dimension)
     assert mean == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("x, e_m, sigma", [
+    (0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (5.0, 1.0, 1.0), (50.0, 1.0, 1.0), (1e4, 1.0, 1.0),
+    (1.0, 0.01, 5.0), (5000.0, 0.01, 5.0), (1.0, 3.0, 0.2), (5000.0, 3.0, 0.2),
+])
+def test_tanh_sinh_mean_matches_the_series(dimension, x, e_m, sigma):
+    """The rule stops in units of its bracket. Stopped in units of time, at
+    e_m^2/sigma^2 = 4e-6 the absolute floor of tolerance_for let two coarse
+    levels of a mean of 8e-10 pass as agreeing, 1.1e-3 off at x = 5000."""
+    p = params_for_intensity(x, e_m, sigma)
+    mean = mean_fpt_1d(p) if dimension == 1 else mean_fpt_3d(p)
+    assert mean_fpt_quadrature(p, None, dimension) == pytest.approx(mean, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("x", [1e4, 1e5])
+def test_survival_quadrature_resolves_a_strong_drift(dimension, x):
+    """The survival falls at t = 1/x. An adaptive rule bracketed from
+    e_m^2/sigma^2 stepped over the drop at x = 1e4 and returned 0.0
+    unchecked; the tanh-sinh rule on that bracket runs out of levels at
+    x = 1e5, which the bracket from e_m/i_s resolves."""
+    q = mean_fpt_quadrature(params_for_intensity(x), None, dimension)
+    assert q != 0.0
+    assert q == pytest.approx(1.0 / x, rel=1e-6, abs=0.0)
+
+
+def test_tanh_sinh_raises_when_its_levels_run_out(monkeypatch):
+    monkeypatch.setattr(validation, "_TS_LEVELS", 1)
+    with pytest.raises(QuadratureError, match="tanh-sinh"):
+        mean_fpt_quadrature(params_for_intensity(1.0), None, 1)
 
 
 @given(x=st.floats(0.0, 20.0), e_m=st.floats(1e-2, 1e2), sigma=st.floats(1e-2, 1e2))

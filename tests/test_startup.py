@@ -36,6 +36,16 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 """
 
 
+# check 7, whose survival quadrature is a tanh-sinh rule on numpy arrays
+CHECK_7 = """
+import json, sys
+from photofpt import validation
+
+result = validation.run_check(7)
+print(json.dumps({"passed": result.passed, "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
 def _python(*args, cwd=None) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
@@ -56,3 +66,9 @@ def test_python_m_photofpt_runs_the_cli(tmp_path):
     proc = _python("-m", "photofpt", "--version", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"photofpt {__version__}\n"
+
+
+def test_check_7_loads_no_scipy_integrate():
+    proc = _python("-c", CHECK_7)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"passed": True, "integrate": False}
