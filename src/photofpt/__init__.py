@@ -12,10 +12,12 @@ other name is imported from its submodule: params, analytic, mc, field,
 validation or cli.
 
 No module imports scipy at load time: the functions that need it import
-the part they use on their first call. Those are `field`, the image-sum
-survivals and the survival quadratures, which checks 7 to 11 of `validate`
+scipy.special on their first call. Those are `field`'s exponential
+integrals and the image-sum survivals, which checks 7 to 11 of `validate`
 reach; `photofpt rate`, `sweep` and `mc` on every boundary, and the two
-finite-difference oracles in `validation`, run on numpy alone.
+finite-difference oracles in `validation`, run on numpy alone. Every
+quadrature in the package is the one tanh-sinh rule in `params`, on
+numpy arrays, so scipy.integrate loads nowhere.
 """
 
 __version__ = "0.1.0"

@@ -322,7 +322,8 @@ def main(argv=None) -> int:
 
 
 def _fail(exc: Exception, code: int) -> int:
-    # one line, whatever the message (quadrature warnings span several)
+    # one line, whatever the message, for callers that read stderr line by
+    # line; a message raised below the package (numpy, the OS) may span several
     print("error: " + " ".join(str(exc).split()), file=sys.stderr)
     return code
 

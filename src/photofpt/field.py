@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ABS_TOL, REL_TOL, AtomModel, QuadratureError, tolerance_for
+from .params import AtomModel, _tanh_sinh
 
 _PREF = 2.0 / (3.0 * math.pi)
 G0 = 1.0 / (18.0 * math.pi)
@@ -24,14 +24,6 @@ REPORTED_SIGMA_CONSTANT = 2.12e-4
 REPORTED_SIGMA_ORDER = 1e-3
 # the physical unit of a natural-unit noise amplitude
 SIGMA_UNIT = "hbar * c**1.5 / a**3.5"
-
-
-def _check_quad(result, what: str) -> None:
-    if len(result) > 3:
-        raise QuadratureError(f"{what}: {result[3]}")
-    if result[1] > tolerance_for(result[0]):
-        raise QuadratureError(
-            f"{what}: reported error {result[1]:.3e} exceeds tolerance")
 
 
 @functools.cache
@@ -108,13 +100,10 @@ def moment_integral() -> tuple[float, float]:
     """The spectral moment int_0^inf x^6/(x^2+1)^8 dx by quadrature and by
     the half-Beta closed form; check 10 judges their agreement.
 
-    Returns (quadrature, closed_form).
+    Returns (quadrature, closed_form); the quadrature is the exp-sinh rule
+    of params._tanh_sinh.
     """
-    from scipy.integrate import quad
-    res = quad(lambda x: x ** 6 / (x * x + 1.0) ** 8, 0.0, np.inf,
-               epsabs=ABS_TOL, epsrel=REL_TOL, full_output=True)
-    _check_quad(res, "moment_integral")
-    return float(res[0]), moment_integral_exact()
+    return _tanh_sinh(lambda x: x ** 6 / (x * x + 1.0) ** 8, math.inf), moment_integral_exact()
 
 
 @dataclass(frozen=True)
@@ -148,13 +137,11 @@ def sigma_const(atom: AtomModel) -> SigmaEstimate:
     Frequency domain: the same by Parseval,
     sigma^2 = (1/4 pi^2) (pi/2) (2/3pi)^2 int_0^inf x^6/(x^2+1)^8 dx.
     The two must agree to 1e-6 relative; neither is fitted to the reference
-    figures, which are merely reported for comparison.
+    figures, which are merely reported for comparison. Both integrals are
+    the exp-sinh rule of params._tanh_sinh.
     """
-    from scipy.integrate import quad
-    res = quad(lambda tau: g_tau(tau) ** 2, 0.0, np.inf, epsabs=ABS_TOL,
-               epsrel=REL_TOL, limit=200, full_output=True)
-    _check_quad(res, "sigma_const time route")
-    sigma_sq_time = float(res[0]) / (4.0 * math.pi ** 2)
+    sq = _tanh_sinh(lambda ts: np.array([g_tau(t) ** 2 for t in ts.tolist()]), math.inf)
+    sigma_sq_time = sq / (4.0 * math.pi ** 2)
 
     moment, _ = moment_integral()
     sigma_sq_freq = (math.pi / 2.0) * _PREF ** 2 * moment / (4.0 * math.pi ** 2)

@@ -22,7 +22,8 @@ class TruncationError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """An adaptive quadrature failed to converge to the requested tolerance."""
+    """Two successive levels of the tanh-sinh rule still differ by more than
+    the requested tolerance when its levels run out."""
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,47 @@ REL_TOL = 1e-9
 def tolerance_for(value):
     # element by element for an array of values
     return np.maximum(ABS_TOL, REL_TOL * np.abs(value))
+
+
+# tanh-sinh nodes u = k h cover |u| <= _TS_U; the step h halves from 1/2 at
+# most _TS_LEVELS times
+_TS_U = 3.2
+_TS_LEVELS = 10
+
+
+def _tanh_sinh(f, hi: float) -> float:
+    """int_0^hi f(t) dt by the tanh-sinh rule of Takahasi & Mori (Publ. RIMS
+    9 (1974) 721): t = hi s with s = 1/(e^(-pi sinh u) + 1), so that ds/du
+    falls double exponentially at both ends, and the trapezoid rule in u
+    with steps h = 1/2, 1/4, ... over |u| <= _TS_U. hi = inf takes the
+    exp-sinh map t = e^(pi sinh u) of the same u-grid instead (Mori &
+    Sugihara, J. Comput. Appl. Math. 127 (2001) 287), in unit scale. Each
+    halving reuses every earlier node and evaluates f once, on the array of
+    the new ones; nodes whose t is not in (0, inf) are dropped. The rule
+    returns once two successive levels of int_0^1 f(hi s) ds agree within
+    tolerance_for, a test in units of hi, so that it holds alike whatever
+    the unit of time, and raises QuadratureError if they still differ after
+    _TS_LEVELS halvings."""
+    scale = 1.0 if hi == math.inf else hi
+    h, total = 0.5, 0.0
+    for level in range(_TS_LEVELS + 1):
+        k = np.arange(-int(_TS_U / h), int(_TS_U / h) + 1)
+        if level:
+            k = k[k % 2 == 1]  # the even multiples of h are the last level's nodes
+        u = k * h
+        q = np.exp(-math.pi * np.sinh(u))
+        if hi == math.inf:
+            t, w = 1.0 / q, math.pi * np.cosh(u) / q
+        else:
+            t, w = hi / (q + 1.0), math.pi * np.cosh(u) * q / (q + 1.0) ** 2
+        keep = (t > 0.0) & (t < math.inf)
+        previous, total = total, 0.5 * total + h * float(np.dot(w[keep], f(t[keep])))
+        if level and abs(total - previous) <= tolerance_for(total):
+            return scale * total
+        h *= 0.5
+    raise QuadratureError(f"tanh-sinh levels at step {2.0 * h:g} still differ by "
+                          f"{abs(total - previous):.3e} of an integral {total:.6e}, "
+                          f"in units of {scale:g}")
 
 
 @dataclass(frozen=True)

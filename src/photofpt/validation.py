@@ -11,9 +11,10 @@ evaluated exactly in the sine eigenbasis of the step matrix, at a cost that
 does not grow with the target time, and is valid while |drift| dx < sigma^2),
 a radial finite-difference solver for the driftless sphere exit time (its
 tridiagonal system solved in closed form), and direct quadrature of survival
-curves for the mean/survival identity by a tanh-sinh rule. All three run
-on numpy alone; the quadrature's image-sum survival loads scipy.special
-on its first call.
+curves for the mean/survival identity by the tanh-sinh rule of params,
+the rule behind field's two integrals too. All three run on numpy alone;
+the quadrature's image-sum survival loads scipy.special on its first call,
+and scipy.integrate loads nowhere.
 """
 from __future__ import annotations
 
@@ -28,10 +29,9 @@ from .params import (
     AtomModel,
     DEFAULT_SEED,
     DetectorParams,
-    QuadratureError,
     SeriesControl,
+    _tanh_sinh,
     params_for_intensity,
-    tolerance_for,
 )
 
 
@@ -204,42 +204,6 @@ def reference_mean(params: DetectorParams, boundary: str) -> float | None:
     return None if params.i_s else radial_mean_exit_time(params.e_m, params.sigma)
 
 
-# tanh-sinh nodes u = k h cover |u| <= _TS_U; the step h halves from 1/2 at
-# most _TS_LEVELS times
-_TS_U = 3.2
-_TS_LEVELS = 10
-
-
-def _tanh_sinh(f, hi: float) -> float:
-    """int_0^hi f(t) dt by the tanh-sinh rule of Takahasi & Mori (Publ. RIMS
-    9 (1974) 721): t = hi s with s = 1/(e^(-pi sinh u) + 1), so that ds/du
-    falls double exponentially at both ends, and the trapezoid rule in u
-    with steps h = 1/2, 1/4, ... over |u| <= _TS_U. Each halving reuses every
-    earlier node and evaluates f once, on the array of the new ones; nodes
-    whose t underflows to 0 are dropped. The rule returns once two
-    successive levels of int_0^1 f(hi s) ds agree within tolerance_for, a
-    test in units of hi, so that it holds alike whatever the unit of time,
-    and raises QuadratureError if they still differ after _TS_LEVELS
-    halvings."""
-    h, total = 0.5, 0.0
-    for level in range(_TS_LEVELS + 1):
-        k = np.arange(-int(_TS_U / h), int(_TS_U / h) + 1)
-        if level:
-            k = k[k % 2 == 1]  # the even multiples of h are the last level's nodes
-        u = k * h
-        q = np.exp(-math.pi * np.sinh(u))
-        t = hi / (q + 1.0)
-        w = math.pi * np.cosh(u) * q / (q + 1.0) ** 2
-        keep = t > 0.0
-        previous, total = total, 0.5 * total + h * float(np.dot(w[keep], f(t[keep])))
-        if level and abs(total - previous) <= tolerance_for(total):
-            return hi * total
-        h *= 0.5
-    raise QuadratureError(f"tanh-sinh levels at step {2.0 * h:g} still differ by "
-                          f"{abs(total - previous):.3e} of an integral {total:.6e}, "
-                          f"in units of the bracket {hi:g}")
-
-
 def mean_fpt_quadrature(params: DetectorParams, ctrl: SeriesControl | None,
                         dimension: int) -> float:
     """Mean first-passage time as the integral of the survival curve,
@@ -248,8 +212,9 @@ def mean_fpt_quadrature(params: DetectorParams, ctrl: SeriesControl | None,
 
     The curve is cut at hi, which starts at min(e_m^2/sigma^2, e_m/i_s) and
     doubles while S(hi) > 1e-13, and [0, hi] is integrated by the tanh-sinh
-    rule of _tanh_sinh, each level one array call of the survival; it raises
-    QuadratureError if its levels have not agreed after _TS_LEVELS halvings.
+    rule of params._tanh_sinh, each level one array call of the survival; it
+    raises QuadratureError if its levels have not agreed after _TS_LEVELS
+    halvings.
     A strong drift's survival falls at about e_m/i_s, so a bracket from
     e_m^2/sigma^2 would leave it to a sliver the rule cannot resolve
     (from x = 1e5).

@@ -17,7 +17,7 @@ from oracles import (DARK_MEAN_3D, DARK_RATE_3D, cn_survival_longdouble,
                      cube_dark_mean_mpmath, f3_split, image_survival_scalar,
                      iterated_average_sum)
 
-from photofpt import analytic, validation
+from photofpt import analytic
 from photofpt.analytic import (
     _accelerated_alternating_sum,
     axis_survival_image,
@@ -517,7 +517,7 @@ def test_survival_quadrature_resolves_a_strong_drift(dimension, x):
 
 
 def test_tanh_sinh_raises_when_its_levels_run_out(monkeypatch):
-    monkeypatch.setattr(validation, "_TS_LEVELS", 1)
+    monkeypatch.setattr("photofpt.params._TS_LEVELS", 1)
     with pytest.raises(QuadratureError, match="tanh-sinh"):
         mean_fpt_quadrature(params_for_intensity(1.0), None, 1)
 

@@ -276,6 +276,13 @@ def test_series_and_quadrature_errors_exit_3(monkeypatch, capsys, module, name, 
     assert _one_error_line(err), err
 
 
+def test_field_exits_3_when_the_rule_runs_out_of_levels(monkeypatch, capsys):
+    monkeypatch.setattr("photofpt.params._TS_LEVELS", 1)
+    code, _, err = run_cli(capsys, "field", "--points", "2")
+    assert code == EXIT_QUALITY
+    assert _one_error_line(err), err
+
+
 def _report(**overrides) -> ValidationReport:
     check = dict(cid=12, name="renewal", expected="|z| <= 3", observed="max |z| = 1.00",
                  tolerance="3 standard errors", passed=np.float64(1.0) <= 3.0,

@@ -23,7 +23,7 @@ from photofpt.field import (
     moment_integral_exact,
     sigma_const,
 )
-from photofpt.params import AtomModel
+from photofpt.params import AtomModel, QuadratureError
 from photofpt.validation import run_check
 
 
@@ -55,13 +55,15 @@ def test_matches_panel_quadrature(tau):
 
 @pytest.mark.parametrize("tau", [20.0, 39.5, 40.0, 45.0, 100.0, 1000.0])
 def test_matches_mpmath_quadrature(tau):
-    assert g_tau(tau) == pytest.approx(g_mpmath(tau), rel=1e-8)
+    # abs=0.0: approx's default 1e-12 absolute term exceeds the relative
+    # bound wherever |g| < 1e-4, so from tau = 20 on it would swallow it
+    assert g_tau(tau) == pytest.approx(g_mpmath(tau), rel=1e-8, abs=0.0)
 
 
 def test_continuous_across_integrator_switch():
     # the closed form just below tau = 40, the asymptotic series from there
     below = g_tau(math.nextafter(40.0, 0.0))
-    assert g_tau(40.0) == pytest.approx(below, rel=1e-8)
+    assert g_tau(40.0) == pytest.approx(below, rel=1e-8, abs=0.0)
 
 
 def test_algebraic_tail():
@@ -89,8 +91,18 @@ def test_large_lag_form_envelope():
 def test_moment_dual_evaluation():
     by_quad, closed = moment_integral()
     assert abs(by_quad - closed) < 1e-10
+    assert by_quad == pytest.approx(5.0 * math.pi / 4096.0, rel=1e-14, abs=0.0)
     assert closed == pytest.approx(5.0 * math.pi / 4096.0, rel=1e-14)
     assert moment_integral_exact() == closed
+
+
+def test_rule_out_of_levels_raises_quadrature_error(monkeypatch):
+    """The half-line rule's real failure path: levels that run out."""
+    monkeypatch.setattr("photofpt.params._TS_LEVELS", 1)
+    with pytest.raises(QuadratureError, match="tanh-sinh"):
+        moment_integral()
+    with pytest.raises(QuadratureError, match="tanh-sinh"):
+        sigma_const(AtomModel())
 
 
 def test_moment_disagreement_fails_check_10_alone(monkeypatch):
@@ -115,7 +127,7 @@ def test_sigma_dual_routes_agree(default_sigma):
     assert est.sigma_freq == pytest.approx(0.0026213131304420336, rel=1e-10)
     assert est.sigma == est.sigma_freq
     assert 1e-4 < est.sigma < 1e-2
-    assert est.sigma_time == pytest.approx(est.sigma_freq, rel=1e-6)
+    assert est.sigma_time == pytest.approx(est.sigma_freq, rel=1e-12)
 
 
 def test_sigma_units_and_reporting(default_sigma):

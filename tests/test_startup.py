@@ -36,13 +36,18 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 """
 
 
-# check 7, whose survival quadrature is a tanh-sinh rule on numpy arrays
-CHECK_7 = """
-import json, sys
-from photofpt import validation
+# every quadrature in the package: the survival quadrature of check 7 and
+# field's two integrals behind checks 10 and 11 and the `field` command, all
+# the one tanh-sinh rule on numpy arrays
+QUADRATURES = """
+import contextlib, io, json, sys
+from photofpt import cli, validation
 
-result = validation.run_check(7)
-print(json.dumps({"passed": result.passed, "integrate": "scipy.integrate" in sys.modules}))
+passed = [validation.run_check(cid).passed for cid in (7, 10, 11)]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(["field", "--points", "2"])
+print(json.dumps({"passed": passed, "code": code,
+                  "integrate": "scipy.integrate" in sys.modules}))
 """
 
 
@@ -69,6 +74,7 @@ def test_python_m_photofpt_runs_the_cli(tmp_path):
 
 
 def test_check_7_loads_no_scipy_integrate():
-    proc = _python("-c", CHECK_7)
+    proc = _python("-c", QUADRATURES)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"passed": True, "integrate": False}
+    assert json.loads(proc.stdout) == {"passed": [True, True, True], "code": 0,
+                                       "integrate": False}
