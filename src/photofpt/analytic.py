@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -47,6 +48,10 @@ def _rate(cross_section: float, mean: float) -> float:
     rate = cross_section / mean
     if rate == math.inf:
         raise ValueError(f"rate cross_section/mean = {cross_section:g}/{mean:g} overflows")
+    # a subnormal rate has lost digits, as DetectorParams refuses a subnormal e_m^2/sigma^2
+    if rate < sys.float_info.min:
+        raise ValueError(f"rate cross_section/mean = {cross_section:g}/{mean:g} is below "
+                         "the smallest normal double")
     return rate
 
 

@@ -218,8 +218,7 @@ def cmd_field(args) -> int:
     taus = _grid(args)
     rows = [(t, field.g_tau(t), field.g_tau_small(t),
              field.g_tau_large(t) if t > 0 else math.nan) for t in taus]
-    _emit(_csv_text(("tau", "g", "g_small", "g_large"), rows), args.out)
-
+    table = _csv_text(("tau", "g", "g_small", "g_large"), rows)
     est = field.sigma_const(AtomModel())
     report = {
         "sigma_natural_time_domain": est.sigma_time,
@@ -233,9 +232,11 @@ def cmd_field(args) -> int:
         },
         "note": est.note,
     }
-    # keep stdout parseable when the table goes there too
-    out = sys.stdout if args.out is not None else sys.stderr
-    out.write(_json_text(report))
+    # nothing goes out until both parts are computed; keep stdout parseable
+    # when the table goes there too
+    text = _json_text(report)
+    _emit(table, args.out)
+    (sys.stdout if args.out is not None else sys.stderr).write(text)
     return EXIT_OK
 
 

@@ -6,15 +6,15 @@ are honest: where a quoted reference figure is not reproduced by the
 mathematics, the check fails and says what was found instead.
 
 The module also houses the independent oracles used by those checks: a
-Crank-Nicolson solver for the 1D absorbing-boundary density (its march is
-evaluated exactly in the sine eigenbasis of the step matrix, at a cost that
-does not grow with the target time, and is valid while |drift| dx < sigma^2),
-a radial finite-difference solver for the driftless sphere exit time (its
-tridiagonal system solved in closed form), and direct quadrature of survival
-curves for the mean/survival identity by the tanh-sinh rule of params,
-the rule behind field's two integrals too. All three run on numpy alone;
-the quadrature's image-sum survival loads scipy.special on its first call,
-and scipy.integrate loads nowhere.
+central-difference solver for the 1D absorbing-boundary density from a point
+start (solved exactly in time in the sine eigenbasis of its matrix, at a
+cost that does not grow with the target time, and valid while |drift| dx <
+sigma^2), a radial finite-difference solver for the driftless sphere exit
+time (its tridiagonal system solved in closed form), and direct quadrature
+of survival curves for the mean/survival identity by the tanh-sinh rule of
+params, the rule behind field's two integrals too. All three run on numpy
+alone; the quadrature's image-sum survival loads scipy.special on its first
+call, and scipy.integrate loads nowhere.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .params import (
     SeriesControl,
     _tanh_sinh,
     params_for_intensity,
+    tolerance_for,
 )
 
 
@@ -46,118 +47,71 @@ _LOG_SCALE_MAX = math.log(np.finfo(float).max)
 def _dst1(v: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I of v, sqrt(2/(m+1)) sum_n v_n sin(pi (k+1)(n+1)/(m+1)),
     from the real FFT of the odd extension [0, v, 0, -v reversed]: its
-    imaginary parts 1..m are -1/2 the unnormalised transform. The factor
-    1/sqrt(2(m+1)) is rounded from long double, as pocketfft rounds it, so
-    the result is scipy.fft.dst(v, type=1, norm="ortho") to round-off."""
+    imaginary parts 1..m are -1/2 the unnormalised transform."""
     m = v.size
     ext = np.zeros(2 * (m + 1))
     ext[1:m + 1] = v
     ext[m + 2:] = -v[::-1]
-    fct = float(1.0 / np.sqrt(np.longdouble(2 * (m + 1))))
-    return np.fft.rfft(ext).imag[1:m + 1] * -fct
-
-
-def _simpson(f: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson rule of f on the odd-length grid x, each panel
-    weighted by its own two spacings h0, h1 as scipy.integrate.simpson(f, x=x)
-    weights it, in the same order of operations."""
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    return float(np.sum(hsum / 6.0 * (f[:-2:2] * (2.0 - 1.0 / ratio)
-                                      + f[1:-1:2] * (hsum * (hsum / (h0 * h1)))
-                                      + f[2::2] * (2.0 - ratio))))
-
-
-def _pde_march(t_target: float, params: DetectorParams) -> tuple[float, int, float]:
-    """The warm-up time t0 = e_m^2/(32 sigma^2) and the march that
-    pde_survival_1d takes from it: an integer number of steps of at most
-    2.5e-4, at least 64, landing exactly on t_target."""
-    t0 = params.e_m * params.e_m / (32.0 * params.sigma ** 2)
-    if not math.isfinite(t_target):
-        raise ValueError(f"t_target must be finite, got {t_target}")
-    if t_target <= 2.0 * t0:
-        raise ValueError(f"t_target must exceed the warm-up time {t0:g}")
-    nsteps = max(64, math.ceil((t_target - t0) / 2.5e-4))
-    return t0, nsteps, (t_target - t0) / nsteps
+    return np.fft.rfft(ext).imag[1:m + 1] * (-1.0 / math.sqrt(2 * (m + 1)))
 
 
 def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
                     nx: int = PDE_NX) -> float:
-    """Survival at t_target from a Crank-Nicolson solve of the density
-    equation df/dt = (sigma^2/2) f'' - drift f' with absorbing ends +-e_m.
+    """Survival at t_target of the central-difference discretisation of the
+    density equation df/dt = (sigma^2/2) f'' - drift f' with absorbing ends
+    +-e_m, started from a point mass on the centre node and solved exactly
+    in time.
 
-    The delta initial condition is replaced by the exact free Gaussian at a
-    small warm-up time t0 = e_m^2/(32 sigma^2); the march then uses an
-    integer number of steps of at most 2.5e-4 landing exactly on t_target.
+    On the nx - 2 interior nodes the density obeys df/dt = -M f with
+    M = tridiag(-(al+be), 2 al, -(al-be)), al = sigma^2/(2 dx^2),
+    be = drift/(2 dx), and the survival is 1^T exp(-M t) e_c. D = diag(rho^j)
+    with rho = sqrt((al+be)/(al-be)), scaled to 1 on the centre node, makes
+    D^-1 M D symmetric Toeplitz, which the orthonormal DST-I S diagonalises
+    with eigenvalues lam_k, so the survival is
+    sum_k (S D 1)_k S_kc exp(-lam_k t): one transform (_dst1, a numpy real
+    FFT), whatever t_target is, and no scipy.
 
-    That march, f_N = ((I+M)^-1 (I-M))^N f_0 on the interior with
-    M = tridiag(-(al+be), 2 al, -(al-be)), is evaluated exactly in the sine
-    eigenbasis of M rather than step by step. D = diag(rho^j) with
-    rho = sqrt((al+be)/(al-be)) makes D^-1 M D symmetric Toeplitz, which the
-    orthonormal DST-I diagonalises, so f_N = D dst(G^N dst(D^-1 f_0)), G
-    being the gain (1-lam)/(1+lam) of each eigenvalue lam. A call costs two
-    transforms, whatever t_target is; both are numpy real FFTs (_dst1), and
-    the survival is the composite Simpson rule over the grid (_simpson), so
-    the call loads no scipy. rho is real only while |drift| dx < sigma^2,
-    and rho^j must stay inside the float range across the grid; a
-    ValueError is raised otherwise. So is a grid too coarse to
-    resolve the warm-up Gaussian: its spacing 2 e_m/(nx-1) may be at most
-    half the Gaussian's width e_m/sqrt(32), which holds for nx >= 24 at any
-    e_m and sigma; and so is an even nx, which Simpson's panels do not fit.
-
-    The march damps its high modes only as exp(-2N/lam), so the edge of the
-    clipped warm-up Gaussian oscillates; at large drift that drives the
-    survival below zero (-1.6e-7 at drift 20, t = 0.5, e_m = sigma = 1), and a
-    ValueError naming the drift is raised in place of the negative value.
-    For |drift| e_m/sigma^2 <= 3 at t_target = 0.5 e_m^2/sigma^2 it agrees
-    with the image sum to 1e-7.
+    nx must be odd and at least 3, so that 0 is a node, and t_target finite
+    and positive. rho is real only while |drift| dx < sigma^2, and the sum of
+    rho^j over the grid must stay inside the float range; at large drift and
+    small t the terms cancel, and where their rounding, eps sum |terms|,
+    exceeds tolerance_for(survival) the value cannot be trusted. A
+    ValueError is raised in each of these cases. For |drift| e_m/sigma^2 <= 3
+    at t_target = 0.5 e_m^2/sigma^2 it agrees with the image sum to 1e-7.
     """
+    if not (math.isfinite(t_target) and t_target > 0.0):
+        raise ValueError(f"t_target must be finite and positive, got {t_target}")
     if not math.isfinite(drift):
         raise ValueError(f"drift must be finite, got {drift}")
-    # 2/(nx-1) <= 1/(2 sqrt(32)), squared
-    if (nx - 1) ** 2 < 512:
-        raise ValueError(f"nx must be at least 24 to resolve the warm-up Gaussian, got {nx}")
-    if nx % 2 == 0:
-        raise ValueError(f"nx must be odd for the composite Simpson rule, got {nx}")
-    a = params.e_m
-    t0, nsteps, dt = _pde_march(t_target, params)
-    x = np.linspace(-a, a, nx)
-    dx = 2.0 * a / (nx - 1)  # x[1] - x[0] would carry the rounding of x[1]
-    var0 = params.sigma ** 2 * t0
-    f = np.exp(-(x - drift * t0) ** 2 / (2.0 * var0)) / math.sqrt(2.0 * math.pi * var0)
-    f[0] = f[-1] = 0.0
-
-    al = 0.5 * params.sigma ** 2 * dt / (2.0 * dx * dx)
-    be = drift * dt / (4.0 * dx)
+    if nx < 3 or nx % 2 == 0:
+        raise ValueError(f"nx must be odd and at least 3, so that 0 is a node, got {nx}")
+    dx = 2.0 * params.e_m / (nx - 1)
+    al = params.sigma ** 2 / (2.0 * dx * dx)
+    be = drift / (2.0 * dx)
     if abs(be) >= al:
         raise ValueError(f"|drift| dx = {abs(drift) * dx:g} must be below sigma^2 = "
                          f"{params.sigma ** 2:g} for a real symmetrisation; raise nx")
     m = nx - 2
     j = np.arange(1, m + 1)
-    # log rho^j relative to the grid centre, so the scale spans exp(+-max)
+    # log rho^j relative to the centre node, so the scale spans exp(+-max); the
+    # transform sums m of them
     log_scale = (j - 0.5 * (m + 1)) * math.atanh(be / al)
-    if abs(log_scale[0]) > _LOG_SCALE_MAX:
+    if abs(log_scale[0]) + math.log(2 * m) > _LOG_SCALE_MAX:
         raise ValueError(f"|drift| = {abs(drift):g} makes rho^j span "
                          f"exp(+-{abs(log_scale[0]):.4g}), past the float range")
-    scale = np.exp(log_scale)
     # eigenvalues 2 al - 2 s cos(k pi/(m+1)), k = 1..m, with al - s written
     # as be^2/(al + s) so that nothing cancels at small k
     s = math.sqrt((al - be) * (al + be))
     lam = 2.0 * be * be / (al + s) + 4.0 * s * np.sin(j * (0.5 * math.pi / (m + 1))) ** 2
-    # |G| = exp(-2 atanh(min(lam, 1/lam))); G < 0 where lam > 1
-    gain = np.exp(-2.0 * nsteps * np.arctanh(np.minimum(lam, 1.0 / lam)))
-    if nsteps % 2:
-        gain[lam > 1.0] *= -1.0
-    coeffs = _dst1(f[1:-1] / scale)
-    f[1:-1] = scale * _dst1(gain * coeffs)
-    survival = _simpson(f, x)
-    if survival < 0.0:
-        raise ValueError(f"drift = {drift:g} gives a negative survival {survival:.3g}: "
-                         "the march leaves the edge of the clipped warm-up Gaussian "
-                         "oscillating")
-    return survival
+    # S_kc = sqrt(2/(m+1)) sin(k pi/2): 0 for even k, alternating signs for odd k
+    column = np.where(j % 2, 1.0 - 2.0 * (j // 2 % 2), 0.0) * math.sqrt(2.0 / (m + 1))
+    terms = _dst1(np.exp(log_scale)) * column * np.exp(-lam * t_target)
+    survival = float(terms.sum())
+    rounding = np.finfo(float).eps * float(np.abs(terms).sum())
+    if not rounding <= tolerance_for(survival):
+        raise ValueError(f"at drift = {drift:g} and t = {t_target:g} the terms cancel to "
+                         f"{survival:.3g} with rounding {rounding:.2g}, past tolerance")
+    return min(1.0, max(0.0, survival))
 
 
 def radial_mean_exit_time(e_m: float, sigma: float, nr: int = 4001) -> float:
@@ -406,19 +360,18 @@ def check_08_pde(seed: int) -> CheckResult:
     for x in (0.0, 2.0):
         params = params_for_intensity(x)
         t = 0.5 * params.time_scale
-        pde = pde_survival_1d(t, params.i_s, params)
+        pde = pde_survival_1d(t, params.i_s, params, nx=PDE_NX)
         img = analytic.axis_survival_image(t, params.i_s, params)
         diffs.append((x, abs(pde - img)))
-    t0, nsteps, dt = _pde_march(t, params)
     worst = max(d for _, d in diffs)
     return CheckResult(
         expected="|pde - image| < 1e-5 at x in {0, 2}, t = 0.5 e_m^2/sigma^2",
         observed=f"max |diff| = {worst:.2e}",
         tolerance="1e-5", passed=worst < 1e-5,
-        source="Crank-Nicolson oracle",
+        source="central-difference oracle, exact in time",
         detail=", ".join(f"x={x:g}: {d:.2e}" for x, d in diffs)
-               + f"; Crank-Nicolson on {PDE_NX} grid points, {nsteps} steps of dt = {dt:g} "
-               f"from the free Gaussian at t0 = {t0:g}, evaluated in the sine eigenbasis"
+               + f"; central differences on {PDE_NX} grid points from a point mass at 0, "
+               "solved exactly in time in the sine eigenbasis"
                "; fixes the tanh(i_s e_m/sigma^2) argument convention")
 
 

@@ -21,7 +21,7 @@ test.
 
 A last, fast test runs the four Monte Carlo checks at 1/100 of their paths
 and asserts that each one's detail states the step it actually took; another
-asserts that check 8's detail states the grid and march its solver ran.
+asserts that check 8's detail states the grid its solver ran on.
 """
 import math
 
@@ -115,17 +115,20 @@ def test_mc_check_detail_states_its_step(monkeypatch, cid):
         assert f"and {recorder.dts[-1] / 2:g}," in result.detail, result.detail
 
 
-def test_pde_check_detail_states_its_march(monkeypatch):
-    march = validation._pde_march
-    marches = []
+def test_pde_check_detail_states_its_grid(monkeypatch):
+    """Check 8 reports the grid its oracle ran on, here a coarser one."""
+    solve = validation.pde_survival_1d
+    grids = []
 
-    def recording_march(t_target, params):
-        marches.append(march(t_target, params))
-        return marches[-1]
+    def recording_solve(t, drift, params, nx=validation.PDE_NX):
+        grids.append(nx)
+        return solve(t, drift, params, nx=nx)
 
-    monkeypatch.setattr(validation, "_pde_march", recording_march)
+    monkeypatch.setattr(validation, "pde_survival_1d", recording_solve)
+    monkeypatch.setattr(validation, "PDE_NX", 2001)
     result = run_check(8, DEFAULT_SEED)
-    assert marches
-    for t0, nsteps, dt in marches:
-        assert (f"on {validation.PDE_NX} grid points, {nsteps} steps of dt = {dt:g} "
-                f"from the free Gaussian at t0 = {t0:g}") in result.detail, result.detail
+    assert grids == [2001, 2001]
+    assert result.passed
+    assert result.source == "central-difference oracle, exact in time"
+    assert ("central differences on 2001 grid points from a point mass at 0, "
+            "solved exactly in time") in result.detail, result.detail

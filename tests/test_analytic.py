@@ -2,8 +2,8 @@
 
 The double series is checked against an mpmath resummation that uses a
 different acceleration (tests/oracles.py), the survival factors against each
-other and against the Crank-Nicolson solver from the validation module (which
-is itself checked against the same march stepped in long double), and the
+other and against the finite-difference solver from the validation module
+(which is itself checked against the dense matrix exponential), and the
 mean first-passage times against direct quadrature of the survival curve.
 """
 import math
@@ -12,10 +12,9 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from oracles import (DARK_MEAN_3D, DARK_RATE_3D, cn_survival_longdouble,
-                     cube_dark_mean_mpmath, f3_split, image_survival_scalar,
-                     iterated_average_sum)
+from hypothesis import example, given, settings, strategies as st
+from oracles import (DARK_MEAN_3D, DARK_RATE_3D, cube_dark_mean_mpmath, f3_split,
+                     fd_survival_expm, image_survival_scalar, iterated_average_sum)
 
 from photofpt import analytic
 from photofpt.analytic import (
@@ -112,30 +111,38 @@ def test_image_sum_matches_pde_solver(drift, t, tol):
 
 
 @pytest.mark.parametrize("x", [0.0, 1.3, 2.0, 3.0])
-def test_pde_solver_matches_longdouble_march(x):
-    """The eigenbasis evaluation equals the step-by-step march in long double."""
+def test_pde_solver_matches_dense_expm(x):
+    """The sine-eigenbasis sum equals the dense matrix exponential."""
     params = params_for_intensity(x)
-    assert pde_survival_1d(0.5, params.i_s, params, nx=201) == pytest.approx(
-        cn_survival_longdouble(0.5, x, 201), rel=1e-13)
+    for nx in (101, 201):
+        for t in (0.07, 0.5, 3.0):
+            assert pde_survival_1d(t, params.i_s, params, nx=nx) == pytest.approx(
+                fd_survival_expm(t, x, nx), rel=1e-10, abs=0.0), (nx, t)
 
 
-# Crank-Nicolson survival at t = 0.5 e_m^2/sigma^2 on the default 4001-point
-# grid: the repr of the eigenbasis evaluation, and the same march stepped in
-# long double by cn_survival_longdouble(0.5, x, 4001) (5 s each, so quoted).
-@pytest.mark.parametrize("x, pinned, longdouble", [
-    (0.0, 0.6854457862160055, 0.6854457862159858),
-    (1.3, 0.5247814222774526, 0.5247814222774401),
-    (2.0, 0.360872578875592, 0.3608725788755828),
+# survival at t = 0.5 e_m^2/sigma^2 on the default 4001-point grid
+@pytest.mark.parametrize("x, pinned", [
+    (0.0, 0.6854457498901146),
+    (1.3, 0.5247813848934026),
+    (2.0, 0.3608725549004219),
 ], ids=["0.0", "1.3", "2.0"])
-def test_pde_solver_pinned(x, pinned, longdouble):
+def test_pde_solver_pinned(x, pinned):
     params = params_for_intensity(x)
     value = pde_survival_1d(0.5, params.i_s, params)
     assert value == pinned
-    assert value == pytest.approx(longdouble, rel=1e-12)
+    assert abs(value - axis_survival_image(0.5, params.i_s, params)) < 1e-7
+
+
+@pytest.mark.parametrize("drift, rel", [(8.0, 1e-4), (10.0, 1e-4), (12.0, 1e-3)])
+def test_pde_solver_tracks_the_image_sum_at_large_drift(drift, rel):
+    """Survivals of 4.2e-6, 2.5e-9 and 2.1e-13."""
+    assert pde_survival_1d(0.5, drift, UNIT) == pytest.approx(
+        axis_survival_image(0.5, drift, UNIT), rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("t, drift, nx, match", [
     pytest.param(math.inf, 0.0, 4001, "t_target", id="infinite-time"),
+    pytest.param(0.0, 0.0, 4001, "t_target", id="zero-time"),
     pytest.param(0.5, math.nan, 4001, "drift", id="nan-drift"),
     pytest.param(0.5, 0.0, 2, "nx", id="nx-2"),
     pytest.param(0.5, 0.0, 0, "nx", id="nx-0"),
@@ -144,41 +151,64 @@ def test_pde_solver_pinned(x, pinned, longdouble):
     pytest.param(0.5, -2500.0, 4001, "symmetrisation", id="drift-dx-1.25"),
     # |drift| dx = 0.5, but rho^j spans exp(+-1098) across the grid
     pytest.param(0.5, 1000.0, 4001, "float range", id="scale-overflow"),
-    # composite Simpson needs an even number of panels
+    # an even grid has no node at 0 for the point start
+    pytest.param(0.5, 0.0, 4, "nx", id="nx-4"),
     pytest.param(0.5, 0.0, 100, "nx", id="nx-100"),
     pytest.param(0.5, 0.0, 4000, "nx", id="nx-4000"),
-    # the clipped warm-up Gaussian's edge oscillates under the march and
-    # drives the survival to -1.6e-7 and -9.4e-9
-    pytest.param(0.5, 20.0, 4001, "drift = 20 gives a negative survival", id="drift-20"),
-    pytest.param(0.5, 50.0, 4001, "drift = 50 gives a negative survival", id="drift-50"),
+    # rho^j spans exp(+-20) and exp(+-50), so the terms' rounding outgrows a
+    # survival near 1
+    pytest.param(0.005, 20.0, 4001, "drift = 20 and t = 0.005", id="drift-20"),
+    pytest.param(0.001, 50.0, 4001, "drift = 50 and t = 0.001", id="drift-50"),
 ])
 def test_pde_solver_rejects_bad_input(t, drift, nx, match):
     with pytest.raises(ValueError, match=match):
         pde_survival_1d(t, drift, UNIT, nx=nx)
 
 
-@pytest.mark.parametrize("nx", [3, 4, 5, 23])
+@pytest.mark.parametrize("nx", [3, 5, 23])
 @pytest.mark.parametrize("e_m, sigma", [(1.0, 1.0), (3.0, 0.2)])
-def test_pde_solver_rejects_grids_coarser_than_the_warm_up(nx, e_m, sigma):
-    """Below nx = 24 the spacing exceeds half the warm-up Gaussian's width,
-    whatever e_m and sigma are; at nx = 3 Simpson returned a survival of 1.88."""
+def test_pde_solver_coarse_odd_grids_give_a_survival(nx, e_m, sigma):
+    """One interior node decays as exp(-sigma^2 t/dx^2), dx = e_m."""
     params = DetectorParams(e_m=e_m, sigma=sigma)
-    with pytest.raises(ValueError, match="nx"):
-        pde_survival_1d(0.5 * params.time_scale, 0.0, params, nx=nx)
+    value = pde_survival_1d(0.5 * params.time_scale, 0.0, params, nx=nx)
+    assert 0.0 < value < 1.0
+    if nx == 3:
+        assert value == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 @pytest.mark.parametrize("nx, pinned", [
-    (101, 0.6854720979779377),
-    (201, 0.6854523532441962),
-    (4001, 0.6854457862160055),
+    (101, 0.68541855576465),
+    (201, 0.6854389661251175),
+    (4001, 0.6854457498901146),
 ])
 def test_pde_solver_fine_grids_keep_their_values(nx, pinned):
-    assert pde_survival_1d(0.5, 0.0, UNIT, nx=nx) == pinned
+    value = pde_survival_1d(0.5, 0.0, UNIT, nx=nx)
+    assert value == pinned
+    # second order in dx: image - value = 0.0680 dx^2 on every grid
+    dx = 2.0 / (nx - 1)
+    assert (axis_survival_image(0.5, 0.0, UNIT) - value) / dx ** 2 == pytest.approx(
+        0.0680, rel=1e-3)
+
+
+@settings(max_examples=200)
+@given(t=st.floats(1e-6, 1e3), drift=st.floats(-1e3, 1e3),
+       nx=st.integers(1, 200).map(lambda k: 2 * k + 1))
+@example(t=0.01, drift=0.0, nx=4001)  # the sum rounds to 1.0000000000000004
+@example(t=1e-6, drift=0.0, nx=4001)
+@example(t=0.0625, drift=50.0, nx=4001)
+@example(t=1e3, drift=-2.0, nx=4001)
+def test_pde_solver_returns_a_survival_or_raises(t, drift, nx):
+    try:
+        value = pde_survival_1d(t, drift, UNIT, nx=nx)
+    except ValueError:
+        return
+    assert type(value) is float
+    assert 0.0 <= value <= 1.0
 
 
 @pytest.mark.parametrize("drift", [0.0, 2.0, -3.0])
 def test_pde_solver_long_time_survival_stays_positive(drift):
-    # 1.2e-56 at drift 2: tiny, but the check on negative survivals must pass it
+    # 1.2e-56 at drift 2: tiny, but its rounding is tinier, so the guard passes it
     assert 0.0 < pde_survival_1d(40.0, drift, UNIT) < 1e-20
 
 
@@ -186,7 +216,7 @@ def test_numpy_dst1_matches_scipy():
     from scipy.fft import dst
 
     rng = np.random.default_rng(5)
-    for m in range(22, 601):
+    for m in range(1, 601):
         v = rng.standard_normal(m)
         ref = dst(v, type=1, norm="ortho")
         assert np.max(np.abs(_dst1(v) - ref)) <= 1e-15 * np.max(np.abs(ref)), m

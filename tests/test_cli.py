@@ -106,6 +106,9 @@ def _one_error_line(err: str) -> bool:
     ("rate", "--em", "1e-150", "--sigma", "1e11",
      "--cross-section", "1e-20"),                    # subnormal e_m**2/sigma**2
     ("mc", "--is", "1e12", "--dt", "4.7e-14", "--paths", "100"),  # zero standard error
+    ("rate", "--cross-section", "1e-300", "--em", "1e150"),  # the rates underflow to 0
+    ("rate", "--cross-section", "1e-310"),                 # a subnormal rate
+    ("sweep", "--cross-section", "1e-310", "--points", "2"),
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -276,11 +279,16 @@ def test_series_and_quadrature_errors_exit_3(monkeypatch, capsys, module, name, 
     assert _one_error_line(err), err
 
 
-def test_field_exits_3_when_the_rule_runs_out_of_levels(monkeypatch, capsys):
+def test_field_exits_3_when_the_rule_runs_out_of_levels(monkeypatch, capsys, tmp_path):
+    """The failure leaves no table behind, on stdout or in an --out file."""
     monkeypatch.setattr("photofpt.params._TS_LEVELS", 1)
-    code, _, err = run_cli(capsys, "field", "--points", "2")
-    assert code == EXIT_QUALITY
-    assert _one_error_line(err), err
+    path = tmp_path / "f.csv"
+    for argv in (("field", "--points", "2"), ("field", "--points", "2", "--out", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_QUALITY
+        assert out == ""
+        assert _one_error_line(err), err
+    assert not path.exists()
 
 
 def _report(**overrides) -> ValidationReport:
