@@ -152,7 +152,6 @@ def test_pde_solver_tracks_the_image_sum_at_large_drift(drift, rel):
     # |drift| dx = 0.5, but rho^j spans exp(+-1098) across the grid
     pytest.param(0.5, 1000.0, 4001, "float range", id="scale-overflow"),
     # an even grid has no node at 0 for the point start
-    pytest.param(0.5, 0.0, 4, "nx", id="nx-4"),
     pytest.param(0.5, 0.0, 100, "nx", id="nx-100"),
     pytest.param(0.5, 0.0, 4000, "nx", id="nx-4000"),
     # rho^j spans exp(+-20) and exp(+-50), so the terms' rounding outgrows a
@@ -163,6 +162,17 @@ def test_pde_solver_tracks_the_image_sum_at_large_drift(drift, rel):
 def test_pde_solver_rejects_bad_input(t, drift, nx, match):
     with pytest.raises(ValueError, match=match):
         pde_survival_1d(t, drift, UNIT, nx=nx)
+
+
+@pytest.mark.parametrize("nx", [4])
+@pytest.mark.parametrize("e_m, sigma", [(1.0, 1.0), (3.0, 0.2)])
+def test_pde_solver_rejects_grids_coarser_than_the_warm_up(nx, e_m, sigma):
+    """The coarse grids that once fell below the warm-up Gaussian's width:
+    the odd ones now give a survival (next test), the even one still raises,
+    whatever e_m and sigma are, because 0 is not a node."""
+    params = DetectorParams(e_m=e_m, sigma=sigma)
+    with pytest.raises(ValueError, match="nx"):
+        pde_survival_1d(0.5 * params.time_scale, 0.0, params, nx=nx)
 
 
 @pytest.mark.parametrize("nx", [3, 5, 23])
