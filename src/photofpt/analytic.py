@@ -21,30 +21,27 @@ import numpy as np
 from .params import (ABS_TOL, DetectorParams, SeriesControl, TruncationError,
                      dimensionless_intensity, tolerance_for)
 
-_SMALL_X = 1e-4
 
-
-def _tanh_over_x(x: float) -> float:
-    # series branch keeps the x -> 0 limit exact instead of dividing 0/0
-    if abs(x) < _SMALL_X:
-        x2 = x * x
-        return 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0
-    return math.tanh(x) / x
+def _normal_mean(mean: float) -> float:
+    # a subnormal mean has lost digits and one that underflows to 0 has no
+    # reciprocal, as DetectorParams refuses a subnormal e_m^2/sigma^2
+    if not sys.float_info.min <= mean < math.inf:
+        raise ValueError(f"mean first-passage time {mean:g} is outside the normal double range")
+    return mean
 
 
 def mean_fpt_1d(params: DetectorParams) -> float:
     """Mean first-passage time out of (-e_m, e_m) for the drifted accumulator.
 
-    Equals (e_m/i_s)*tanh(i_s*e_m/sigma**2); the driftless limit
-    e_m**2/sigma**2 is taken analytically through the tanh(x)/x branch.
+    Equals (e_m/i_s)*tanh(i_s*e_m/sigma**2), and e_m**2/sigma**2 without
+    drift. Raises ValueError where it is below the smallest normal double.
     """
-    return params.time_scale * _tanh_over_x(dimensionless_intensity(params))
+    x = dimensionless_intensity(params)
+    # tanh(x)/x is within 2.7e-16 relative of the exact ratio down to x = 5e-324
+    return _normal_mean(params.time_scale * (math.tanh(x) / x if x else 1.0))
 
 
 def _rate(cross_section: float, mean: float) -> float:
-    # a mean that underflows to 0 has no finite reciprocal
-    if not 0 < mean < math.inf:
-        raise ValueError(f"mean first-passage time {mean} is not a positive finite number")
     rate = cross_section / mean
     if rate == math.inf:
         raise ValueError(f"rate cross_section/mean = {cross_section:g}/{mean:g} overflows")
@@ -233,7 +230,8 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     small gap y - x is never found by subtracting y from x, which would lose
     it to rounding once x^2 dwarfs c. Rows are summed over l with Euler
     acceleration, then the alternating row sums are accelerated over k; the
-    acceleration residual is the reported tail estimate.
+    acceleration residual is the reported tail estimate. It is judged on the
+    sum times about x (a power of two while x*x is finite), as F ~ 0.76/x.
     """
     ctrl = ctrl or SeriesControl()
     if not x >= 0:
@@ -243,14 +241,14 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     ol = odd[None, :]
     s = ok ** 2 + ol ** 2
     c = 0.25 * math.pi ** 2 * s
-    scale = 1.0
     if x * x < math.inf:
+        scale = 2.0 ** max(0, math.frexp(x)[1])  # exact, so the digits do not change
         y = np.sqrt(x * x + c)
         g = -np.expm1(np.log1p(np.exp(-2.0 * x)) - np.log1p(np.exp(-2.0 * y)) - c / (x + y))
+        g *= scale
     else:
         # once x*x overflows, y = x and G_kl = c/(2x) to double precision;
         # near x = 1e308 that is subnormal, so the series sums x G_kl = c/2
-        # and the sum is divided by x
         g = 0.5 * c
         scale = x
     mag = g / (s * ok * ol)
@@ -258,19 +256,19 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     even = np.arange(ctrl.kl_max) % 2 == 0
     row_val, row_res = _accelerated_alternating_sum(np.where(even, mag, -mag))
     value, outer_res = map(float, _accelerated_alternating_sum(np.where(even, row_val, -row_val)))
-    value /= scale
-    tail = (outer_res + float(row_res.max())) / scale
+    tail = outer_res + float(row_res.max())
     if tail > tolerance_for(value):
-        raise TruncationError(
-            f"double-series tail estimate {tail:.3e} exceeds tolerance at kl_max={ctrl.kl_max}")
-    return value
+        raise TruncationError(f"double-series tail estimate {tail / scale:.3e} exceeds "
+                              f"tolerance at kl_max={ctrl.kl_max}")
+    return value / scale
 
 
 def mean_fpt_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> float:
     """Mean first-passage time to the cube surface:
-    (128/pi^4) (e_m^2/sigma^2) F(i_s e_m/sigma^2)."""
+    (128/pi^4) (e_m^2/sigma^2) F(i_s e_m/sigma^2). Raises ValueError where it
+    is below the smallest normal double or overflows."""
     x = dimensionless_intensity(params)
-    return (128.0 / math.pi ** 4) * params.time_scale * f3_series(x, ctrl)
+    return _normal_mean((128.0 / math.pi ** 4) * params.time_scale * f3_series(x, ctrl))
 
 
 def rate_3d(params: DetectorParams) -> float:

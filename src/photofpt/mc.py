@@ -15,11 +15,11 @@ Every path draws from its own counter-derived Philox substream, so results
 are a pure function of (config, seed): any path subset, evaluation order or
 worker layout reproduces the single-threaded ensemble bit for bit.
 
-Paths walk in lockstep blocks, each step one numpy call over the block.
-Each chunk of a path's normals is drawn once and feeds every leg that reads
-it: the dt and dt/2 legs of a Richardson pair scale the same normals by
-their own sigma*sqrt(dt) and drift, and the sphere and the cube are tested
-on the same positions.
+Paths walk in lockstep blocks of _BLOCK, only a counted run's last holding
+fewer, each step one numpy call over the block. Each chunk of a path's normals
+is drawn once and feeds every leg that reads it: the dt and dt/2 legs of a
+Richardson pair scale the same normals by their own sigma*sqrt(dt) and drift,
+and the sphere and the cube are tested on the same positions.
 """
 from __future__ import annotations
 
@@ -45,11 +45,12 @@ BETA = 0.5825971579390107
 # mu/k times and draws about k/2 steps past its exit; k = sqrt(2*c*mu) with
 # c = _CHUNK_COST/dim steps minimises the sum. mu is the exit-time scale at
 # the smallest dt: the smaller of e_m**2/(dim*sigma**2), the driftless mean
-# exit from the inscribed ball, and the drift time e_m/i_s. k >= _MIN_CHUNK,
-# and a block's chunk holds at most _BLOCK_NORMALS normals, to bound memory.
+# exit from the inscribed ball, and the drift time e_m/i_s. A block's chunk
+# holds at most _BLOCK_NORMALS normals, to bound memory. No other clamp is
+# needed: MCConfig's dt bounds give mu >= 20, so k >= 21, and step caps of
+# at least 100/0.01 = 1e4, above the memory bound of at most 512 steps.
 _BLOCK = 128
 _CHUNK_COST = 32
-_MIN_CHUNK = 16
 _BLOCK_NORMALS = 2 ** 16
 
 
@@ -177,14 +178,14 @@ class EventStream:
         return np.diff(np.concatenate(([0.0], np.asarray(self.event_times))))
 
 
-def _walks(config: MCConfig, dts: tuple[float, ...], boundaries: tuple[str, ...] | None = None,
-           n_paths: int | None = None) -> Iterator[np.ndarray]:
-    """Hit times of paths 0, 1, 2, ... (up to n_paths; without end if None),
-    one (paths, legs) array per block: one column per (dt, boundary) pair,
-    dt-major, nan where the leg reached its step cap first.
+def _walks(config: MCConfig, dts: tuple[float, ...], boundaries: tuple[str, ...] | None,
+           n_paths: int) -> Iterator[np.ndarray]:
+    """Hit times of paths 0, 1, ..., n_paths - 1, one (paths, legs) array
+    per block: one column per (dt, boundary) pair, dt-major, nan where the
+    leg reached its step cap first.
 
-    Paths walk in blocks of _BLOCK; without an end the blocks double from 1,
-    so a caller that stops early has walked at most as many paths again.
+    Blocks hold _BLOCK paths, the last possibly fewer, so a caller that
+    stops early has walked fewer than _BLOCK paths past its last one.
     Row k of a block resets the k-th generator of one pool to its path's
     Philox substream. Normal k drives step k of every leg, and each boundary
     is tested against its leg's threshold e_m - BETA*sigma*sqrt(dt).
@@ -196,19 +197,16 @@ def _walks(config: MCConfig, dts: tuple[float, ...], boundaries: tuple[str, ...]
     legs = [(s, p.i_s * dt, config.steps_cap(dt), p.e_m - BETA * s) for dt, s in zip(dts, sigs)]
     longest = max(leg[2] for leg in legs)
     mu = min(p.time_scale / dim, p.e_m / p.i_s if p.i_s > 0 else math.inf) / min(dts)
-    chunk = math.ceil(math.sqrt(2.0 * _CHUNK_COST / dim * mu))
-    chunk = min(longest, max(_MIN_CHUNK, min(chunk, _BLOCK_NORMALS // (_BLOCK * dim))))
+    chunk = min(math.ceil(math.sqrt(2.0 * _CHUNK_COST / dim * mu)),
+                _BLOCK_NORMALS // (_BLOCK * dim))
     spheres = [b == "sphere" for b in boundaries]
     step_dt = np.repeat(dts, len(boundaries))
-    pool: list[Callable[[int], Generator]] = []
-    start, size = 0, 1
-    while n_paths is None or start < n_paths:
-        size = min(_BLOCK, size if n_paths is None else n_paths - start)
-        pool += [_substreams(config.seed) for _ in range(size - len(pool))]
+    pool = [_substreams(config.seed) for _ in range(min(_BLOCK, n_paths))]
+    for start in range(0, n_paths, _BLOCK):
+        size = min(_BLOCK, n_paths - start)
         steps = _block([pool[k](start + k) for k in range(size)], dim, legs, spheres,
                        chunk, longest)
         yield np.where(steps > 0, steps * step_dt, math.nan)
-        start, size = start + size, 2 * size
 
 
 def _substreams(seed: int) -> Callable[[int], Generator]:
@@ -354,14 +352,15 @@ def simulate_event_stream(config: MCConfig, horizon: float) -> EventStream:
     to the origin after each event, until the horizon is passed.
 
     Interval i draws from substream i, so the stream is reproducible and
-    its prefix does not depend on the horizon. A censored interval (no
-    absorption within max_time) advances the clock without an event.
+    its prefix does not depend on the horizon; it walks full blocks and
+    stops fewer than _BLOCK intervals past the horizon. A censored interval
+    (no absorption within max_time) advances the clock without an event.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     events: list[float] = []
     clock = 0.0
-    times = (t for block in _walks(config, (config.dt,)) for t in block[:, 0].tolist())
+    times = (t for b in _walks(config, (config.dt,), None, 2 ** 64) for t in b[:, 0].tolist())
     for t in times:
         clock += config.max_time if math.isnan(t) else t
         if clock > horizon:

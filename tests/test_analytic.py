@@ -7,6 +7,7 @@ other and against the finite-difference solver from the validation module
 mean first-passage times against direct quadrature of the survival curve.
 """
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -38,7 +39,7 @@ from photofpt.params import (
     TruncationError,
     params_for_intensity,
 )
-from photofpt.validation import _dst1, mean_fpt_quadrature, pde_survival_1d
+from photofpt.validation import _dst1, mean_fpt_quadrature, pde_survival_1d, reference_mean
 
 UNIT = DetectorParams(e_m=1.0, sigma=1.0)
 
@@ -60,9 +61,8 @@ def test_mean_1d_strong_signal_is_threshold_over_intensity():
 
 
 @pytest.mark.parametrize("x", [0.99e-4, 1.01e-4])
-def test_mean_1d_small_x_branch(x):
-    """The series branch agrees with high-precision tanh(x)/x on both
-    sides of the switch point."""
+def test_mean_1d_matches_tanh_over_x_at_small_x(x):
+    """math.tanh(x)/x agrees with high-precision tanh(x)/x near zero."""
     with mp.workdps(40):
         ref = float(mp.tanh(x) / mp.mpf(x))
     assert mean_fpt_1d(params_for_intensity(x)) == pytest.approx(ref, rel=1e-14)
@@ -442,6 +442,68 @@ def test_double_series_rejects_nan():
 def test_double_series_truncation_guard():
     with pytest.raises(TruncationError):
         f3_series(0.0, SeriesControl(kl_max=1))
+
+
+@pytest.mark.parametrize("x, kl_max", [(1e12, 7), (1e6, 20), (1e100, 1)])
+def test_double_series_truncation_guard_at_large_x(x, kl_max):
+    """F falls as 0.76/x, far below the absolute tolerance floor, so a tail
+    judged on the unscaled sum would pass F 7.8e-4, 2.2e-8 and 0.62 relative
+    off here."""
+    with pytest.raises(TruncationError):
+        f3_series(x, SeriesControl(kl_max=kl_max))
+
+
+@settings(max_examples=300)
+@given(x=st.floats(0.0, 1.7e308))
+@example(x=100.0)
+@example(x=1.7e308)
+def test_double_series_is_in_range_or_raises(x):
+    """F is finite and positive, and the cube mean in units of the drift
+    time, x F 128/pi^4, is at most 1 to round-off; or the call raises."""
+    try:
+        value = f3_series(x)
+    except (ValueError, TruncationError):
+        return
+    assert math.isfinite(value) and value > 0.0
+    assert x * value * 128.0 / math.pi ** 4 <= 1.0 + 4e-15
+
+
+@settings(max_examples=300)
+@given(t=st.floats(5e-324, 1e300))
+def test_spectral_survival_is_a_probability_or_raises(t):
+    try:
+        value = axis_survival_spectral(t, UNIT)
+    except (ValueError, TruncationError):
+        return
+    assert 0.0 <= value <= 1.0
+
+
+def test_means_below_the_smallest_normal_raise():
+    """x = 1e148 on a time scale of 8.2e-302: both means, about 8e-450,
+    would underflow to 0.0, and so would the interval's reference mean."""
+    p = DetectorParams(e_m=1e-150, sigma=3.5, i_s=1.25e299)
+    for mean in (mean_fpt_1d, mean_fpt_3d, lambda q: reference_mean(q, "interval")):
+        with pytest.raises(ValueError, match="normal double"):
+            mean(p)
+
+
+@settings(max_examples=300)
+@given(e_m=st.floats(1.5e-154, 1.3e154), sigma=st.floats(1.5e-154, 1.3e154),
+       i_s=st.floats(0.0, 1.7e308))
+@example(e_m=1e-150, sigma=3.5, i_s=1.25e299)
+@example(e_m=1.0, sigma=1.0, i_s=100.0)
+def test_means_are_normal_and_ordered_or_raise(e_m, sigma, i_s):
+    """Any valid DetectorParams: both means are normal positive doubles and
+    the cube's is at most the interval's, to round-off (4.4e-16 above it at
+    x = 100); or the call raises."""
+    try:
+        p = DetectorParams(e_m=e_m, sigma=sigma, i_s=i_s)
+        mean_1d, mean_3d = mean_fpt_1d(p), mean_fpt_3d(p)
+    except (ValueError, TruncationError):
+        return
+    for mean in (mean_1d, mean_3d):
+        assert sys.float_info.min <= mean < math.inf
+    assert mean_3d <= mean_1d * (1.0 + 4e-15)
 
 
 def _or_none(fn, *args):

@@ -89,6 +89,7 @@ def _one_error_line(err: str) -> bool:
     ("mc", "--is", "nan", "--paths", "100"),
     ("rate", "--is", "1e300", "--em", "1e10"),   # i_s*e_m/sigma**2 overflows
     ("rate", "--em", "1e-100", "--is", "1e300"),  # the mean underflows to 0
+    ("rate", "--em", "1e-150", "--sigma", "3.5", "--is", "1.25e299"),  # the means, 8e-450
     ("mc", "--is", "1e9", "--paths", "100"),     # dt above 0.05 e_m/i_s
     ("field", "--x-max", "inf", "--points", "3"),
     ("field", "--x-min", "nan", "--points", "2"),

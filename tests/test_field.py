@@ -11,6 +11,7 @@ import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import g_mpmath, g_panel_quadrature
 
 from photofpt import field
@@ -23,7 +24,7 @@ from photofpt.field import (
     moment_integral_exact,
     sigma_const,
 )
-from photofpt.params import AtomModel, QuadratureError
+from photofpt.params import AtomModel, QuadratureError, TruncationError
 from photofpt.validation import run_check
 
 
@@ -46,6 +47,16 @@ def test_negative_lag_rejected():
         g_tau_small(-1.0)
     with pytest.raises(ValueError):
         g_tau_large(0.0)
+
+
+@settings(max_examples=300)
+@given(tau=st.floats(0.0, 1e300))
+def test_correlation_is_bounded_by_its_zero_lag_value_or_raises(tau):
+    try:
+        value = g_tau(tau)
+    except (ValueError, TruncationError):
+        return
+    assert math.isfinite(value) and abs(value) <= G0
 
 
 @pytest.mark.parametrize("tau", [0.3, 0.499, 0.501, 2.0, 5.0, 15.0])

@@ -273,14 +273,13 @@ def test_event_stream_intervals_are_fpt_samples(stream_x2):
 def test_event_stream_is_a_prefix_across_horizons(monkeypatch):
     """Paths walk in blocks, but the stream stops at its horizon: one that
     ends inside a block gives a bit-identical prefix of a longer horizon's
-    stream, at the default block size and at one of 7 paths. The blocks
-    double from one path, so a short stream walks at most twice the
-    intervals it uses."""
+    stream, at the default block size and at one of 7 paths. Every block
+    is full, so a short stream walks fewer than _BLOCK intervals past the
+    ones it uses."""
     cfg = MCConfig(params=params_for_intensity(8.0), dt=1e-3, n_paths=100, seed=77)
     longer = simulate_event_stream(cfg, horizon=60.0)
     stream = simulate_event_stream(cfg, horizon=25.0)
-    block_ends = np.cumsum([min(2 ** i, mc._BLOCK) for i in range(20)])
-    assert stream.count + 1 not in block_ends        # no censoring: count + 1 intervals
+    assert (stream.count + 1) % mc._BLOCK            # no censoring: count + 1 intervals
     assert longer.count > stream.count + mc._BLOCK
     assert longer.event_times[:stream.count] == stream.event_times
     walked = []
@@ -289,7 +288,7 @@ def test_event_stream_is_a_prefix_across_horizons(monkeypatch):
                         or block(rngs, *rest))
     short = simulate_event_stream(cfg, horizon=1.0)
     assert short.event_times == stream.event_times[:short.count]
-    assert sum(walked) <= 2 * (short.count + 1)
+    assert sum(walked) < short.count + 1 + mc._BLOCK
     monkeypatch.setattr(mc, "_BLOCK", 7)
     assert simulate_event_stream(cfg, horizon=25.0) == stream
 
@@ -443,19 +442,24 @@ def test_substream_reset_matches_fresh_generator():
 def test_hit_times_do_not_depend_on_chunk_schedule(monkeypatch, config, dts, boundaries):
     default = _sample(config, dts, boundaries)
     assert config.n_paths % 3 and config.n_paths <= mc._BLOCK  # one block by default
+    dim, cap = config.dimension, config.steps_cap(min(dts))
+    # (steps per chunk allowed by the memory bound, chunk cost, paths per block)
     schedules = [
-        (3, 0.0, 3),             # 3 steps per chunk, blocks of 3 paths and a last of 1
-        (3, 0.0, 1),             # 3 steps per chunk, one path per block
-        (3, 1e12, 1),            # the whole step cap in one chunk, one path per block
-        (16, 32, 3),             # the default chunk, blocks of 3
+        (3, 32, 3),              # 3 steps per chunk, blocks of 3 paths and a last of 1
+        (3, 32, 1),              # 3 steps per chunk, one path per block
+        (cap, 1e12, 1),          # the whole step cap in one chunk, one path per block
+        (math.inf, 32, 3),       # the default chunk, blocks of 3
     ]
-    for min_chunk, chunk_cost, block in schedules:
-        monkeypatch.setattr(mc, "_MIN_CHUNK", min_chunk)
+    walk, chunks = mc._block, set()
+    monkeypatch.setattr(mc, "_block", lambda *args: chunks.add(args[4]) or walk(*args))
+    for steps, chunk_cost, block in schedules:
+        monkeypatch.setattr(mc, "_BLOCK_NORMALS", steps * block * dim)
         monkeypatch.setattr(mc, "_CHUNK_COST", chunk_cost)
-        monkeypatch.setattr(mc, "_BLOCK_NORMALS", math.inf)
         monkeypatch.setattr(mc, "_BLOCK", block)
+        chunks.clear()
         other = _sample(config, dts, boundaries)
-        assert np.array_equal(default, other, equal_nan=True), (min_chunk, chunk_cost, block)
+        assert np.array_equal(default, other, equal_nan=True), (steps, chunk_cost, block)
+        assert len(chunks) == 1 and (steps == math.inf or chunks == {steps})
     if config.max_time < 1.0:
         assert np.isnan(default).any() and not np.isnan(default).all()
 

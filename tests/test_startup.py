@@ -13,12 +13,13 @@ from photofpt import __version__
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the commands that read the rate curve, none of which needs scipy, and the
-# two finite-difference oracles behind the sphere's reference mean and check 8
+# the commands that read the rate curve, none of which needs scipy, an event
+# stream, and the two finite-difference oracles behind the sphere's reference
+# mean and check 8
 GUARD = """
 import contextlib, io, json, sys
 import photofpt
-from photofpt import cli, field, validation
+from photofpt import cli, field, mc, validation
 from photofpt.params import params_for_intensity
 
 codes = []
@@ -27,11 +28,13 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["mc", "--paths", "200"], ["mc", "--dim", "3", "--paths", "200"],
                  ["mc", "--dim", "3", "--boundary", "sphere", "--paths", "200"]):
         codes.append(cli.main(argv))
+stream = mc.simulate_event_stream(
+    mc.MCConfig(params=params_for_intensity(2.0), dt=1e-2, n_paths=100, seed=1), horizon=5.0)
 validation.radial_mean_exit_time(1.0, 1.0, nr=101)
 validation.pde_survival_1d(0.07, 1.0, params_for_intensity(1.0), nx=101)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 field.g_tau(1.0)
-print(json.dumps({"codes": codes, "loaded": loaded,
+print(json.dumps({"codes": codes, "events": stream.count, "loaded": loaded,
                   "after_g_tau": "scipy.special" in sys.modules}))
 """
 
@@ -62,6 +65,7 @@ def test_rate_sweep_and_mc_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["events"] > 0
     assert result["loaded"] == []
     # the exponential integrals load on g_tau's first call
     assert result["after_g_tau"]
