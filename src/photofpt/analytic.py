@@ -268,7 +268,8 @@ def mean_fpt_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> fl
     (128/pi^4) (e_m^2/sigma^2) F(i_s e_m/sigma^2). Raises ValueError where it
     is below the smallest normal double or overflows."""
     x = dimensionless_intensity(params)
-    return _normal_mean((128.0 / math.pi ** 4) * params.time_scale * f3_series(x, ctrl))
+    # time_scale last: (128/pi^4)*time_scale overflows where the mean is finite
+    return _normal_mean(params.time_scale * ((128.0 / math.pi ** 4) * f3_series(x, ctrl)))
 
 
 def rate_3d(params: DetectorParams) -> float:

@@ -189,16 +189,12 @@ def _estimate_payload(est: mc.FPTEstimate) -> dict:
 def cmd_mc(args) -> int:
     # mc reports means, not rates, so it takes no cross section
     params = DetectorParams(e_m=args.em, sigma=args.sigma, i_s=args.i_s)
-    boundary = args.boundary
-    if boundary is None:
-        boundary = "interval" if args.dim == 1 else "cube"
     config = mc.MCConfig(params=params, dt=args.dt, n_paths=args.paths,
-                         seed=args.seed, dimension=args.dim, boundary=boundary,
-                         max_time=args.max_time)
+                         seed=args.seed, boundary=args.boundary, max_time=args.max_time)
     rich = mc.simulate_fpt_richardson(config)
-    ref = validation.reference_mean(params, boundary)
+    ref = validation.reference_mean(params, config.boundary)
     payload = {
-        "boundary": boundary, "dimension": config.dimension,
+        "boundary": config.boundary, "dimension": config.dimension,
         "x": dimensionless_intensity(params),
         "coarse": _estimate_payload(rich.coarse),
         "fine": _estimate_payload(rich.fine),
@@ -289,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="Richardson-extrapolated first-passage simulation")
     _add_param_flags(p_mc, cross_section=False)
-    p_mc.add_argument("--dim", type=int, choices=(1, 3), default=1)
-    p_mc.add_argument("--boundary", choices=("interval", "cube", "sphere"), default=None,
-                      help="default: interval for --dim 1, cube for --dim 3")
+    p_mc.add_argument("--boundary", choices=tuple(mc.BOUNDARIES), default="interval",
+                      help="interval (1D, the default), cube or sphere (3D)")
     p_mc.add_argument("--dt", type=float, default=1e-3)
     p_mc.add_argument("--paths", type=int, default=10_000)
     p_mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -316,7 +311,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         return _fail(exc, EXIT_USAGE)
     except (TruncationError, QuadratureError) as exc:
         return _fail(exc, EXIT_QUALITY)

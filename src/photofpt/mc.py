@@ -32,7 +32,7 @@ from numpy.random import Generator, Philox
 
 from .params import DetectorParams
 
-_BOUNDARIES = ("interval", "cube", "sphere")
+BOUNDARIES = {"interval": 1, "cube": 3, "sphere": 3}
 
 # boundary shift per sigma*sqrt(dt): -zeta(1/2)/sqrt(2 pi), the mean
 # overshoot of a standard Gaussian random walk over a distant level; the
@@ -56,24 +56,28 @@ _BLOCK_NORMALS = 2 ** 16
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Simulation layout; fully determines a reproducible ensemble."""
+    """Simulation layout; fully determines a reproducible ensemble. The
+    boundary fixes the dimension: BOUNDARIES[boundary], 1 or 3."""
 
     params: DetectorParams
     dt: float
     n_paths: int
     seed: int
-    dimension: int = 1
+    # derived; settable only because perfbench's configs pass it (checked)
+    dimension: int | None = None
     boundary: str = "interval"
     max_time: float | None = None
 
     def __post_init__(self):
         ts = self.params.time_scale
-        if self.dimension not in (1, 3):
-            raise ValueError(f"dimension must be 1 or 3, got {self.dimension}")
-        if self.boundary not in _BOUNDARIES:
-            raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {self.boundary!r}")
-        if (self.boundary == "interval") != (self.dimension == 1):
-            raise ValueError("interval boundary pairs with dimension 1, cube/sphere with 3")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"boundary must be one of {tuple(BOUNDARIES)}, got {self.boundary!r}")
+        dimension = BOUNDARIES[self.boundary]
+        if self.dimension is None:
+            object.__setattr__(self, "dimension", dimension)
+        if self.dimension != dimension:
+            raise ValueError(f"the {self.boundary} boundary has dimension {dimension}, "
+                             f"got {self.dimension}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.dt > 0.01 * ts * (1.0 + 1e-12):

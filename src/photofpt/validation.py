@@ -252,8 +252,7 @@ def _richardson_legs(seed: int, xs, boundary: str,
     legs = []
     for i, x in enumerate(xs):
         params = params_for_intensity(x)
-        config = mc.MCConfig(params=params, dt=5e-3, n_paths=n_paths, seed=seed + i,
-                             dimension=1 if boundary == "interval" else 3, boundary=boundary)
+        config = mc.MCConfig(params=params, dt=5e-3, n_paths=n_paths, seed=seed + i, boundary=boundary)
         rich = mc.simulate_fpt_richardson(config)
         ref = reference_mean(params, boundary)
         legs.append((x, ref, mc.zscore(ref, rich.extrapolated)))
@@ -440,8 +439,7 @@ def check_12_renewal(seed: int) -> CheckResult:
     for i, x in enumerate((0.0, 2.0)):
         params = params_for_intensity(x)
         mean_ref = analytic.mean_fpt_1d(params)
-        config = mc.MCConfig(params=params, dt=5e-4, n_paths=100,
-                             seed=seed + 200 + i, dimension=1, boundary="interval")
+        config = mc.MCConfig(params=params, dt=5e-4, n_paths=100, seed=seed + 200 + i)
         stream = mc.simulate_event_stream(config, horizon=1e4 * mean_ref)
         gaps = stream.interarrivals()
         se_rate = gaps.std(ddof=1) / (gaps.mean() ** 2 * math.sqrt(gaps.size))
@@ -463,7 +461,7 @@ def check_13_sphere_cube(seed: int) -> CheckResult:
     for i, x in enumerate((0.0, 2.0)):
         params = params_for_intensity(x)
         base = mc.MCConfig(params=params, dt=5e-3, n_paths=30_000,
-                           seed=seed + 300 + i, dimension=3, boundary="cube")
+                           seed=seed + 300 + i, boundary="cube")
         comp = mc.simulate_fpt_sphere_vs_cube(params, base)
         mean_ok &= comp.sphere.mean <= comp.cube.mean
         pathwise_ok &= comp.pathwise_sphere_le_cube

@@ -487,6 +487,15 @@ def test_means_below_the_smallest_normal_raise():
             mean(p)
 
 
+def test_cube_mean_on_a_time_scale_near_the_largest_double():
+    """e_m**2/sigma**2 = 1.69e308: the mean, 0.45 of it, is a finite double,
+    though (128/pi^4) times the time scale is not."""
+    p = DetectorParams(e_m=1.3e154, sigma=1.0)
+    mean = mean_fpt_3d(p)
+    assert math.isfinite(mean)
+    assert mean == pytest.approx(p.time_scale * DARK_MEAN_3D, rel=1e-15)
+
+
 @settings(max_examples=300)
 @given(e_m=st.floats(1.5e-154, 1.3e154), sigma=st.floats(1.5e-154, 1.3e154),
        i_s=st.floats(0.0, 1.7e308))

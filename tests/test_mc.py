@@ -15,6 +15,7 @@ from photofpt import mc
 from photofpt.analytic import mean_fpt_1d, mean_fpt_3d
 from photofpt.mc import (
     BETA,
+    BOUNDARIES,
     EventStream,
     FPTEstimate,
     MCConfig,
@@ -79,8 +80,7 @@ def test_beta_literal_is_the_scipy_expression_bit_for_bit():
 @pytest.mark.parametrize("boundary", ["interval", "cube", "sphere"])
 def test_each_leg_tests_its_shifted_threshold(monkeypatch, boundary):
     params = DetectorParams(e_m=2.0, sigma=0.5, i_s=0.3)
-    cfg = MCConfig(params=params, dt=4e-3, n_paths=100, seed=2,
-                   dimension=1 if boundary == "interval" else 3, boundary=boundary)
+    cfg = MCConfig(params=params, dt=4e-3, n_paths=100, seed=2, boundary=boundary)
     dts = (cfg.dt, cfg.dt / 2.0, cfg.dt / 8.0)
     seen = []
     block = mc._block
@@ -334,7 +334,7 @@ def test_zscore_behaviour(richardson_unit_seed7):
     dict(dimension=2),
     dict(boundary="ball"),
     dict(dimension=3),                   # interval boundary needs dim 1
-    dict(boundary="cube"),               # and cube needs dim 3
+    dict(boundary="cube", dimension=1),  # and cube has dim 3
     dict(seed=2 ** 64),
     dict(seed=-1),
     dict(max_time=50.0),                 # below 100 * time scale
@@ -352,6 +352,21 @@ def test_config_rejects_max_time_without_finite_step_cap(max_time):
     # 1e308 is finite, but its step cap at dt/2 overflows
     with pytest.raises(ValueError, match="max_time"):
         MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, max_time=max_time)
+
+
+@pytest.mark.parametrize("boundary, dimension", [("interval", 1), ("cube", 3), ("sphere", 3)])
+def test_config_derives_dimension_from_boundary(boundary, dimension):
+    cfg = MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, boundary=boundary)
+    assert cfg.dimension == dimension
+    assert cfg == MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, boundary=boundary,
+                           dimension=BOUNDARIES[boundary])
+
+
+@pytest.mark.parametrize("boundary, dimension", [("sphere", 1), ("interval", 3)])
+def test_config_rejects_a_dimension_its_boundary_lacks(boundary, dimension):
+    with pytest.raises(ValueError, match=f"the {boundary} boundary has dimension"):
+        MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, boundary=boundary,
+                 dimension=dimension)
 
 
 def test_config_defaults():
@@ -414,7 +429,7 @@ def test_drift_speeds_up_every_path():
 
 def _config(x, boundary, dt=1e-2, n_paths=100, seed=3, max_time=None):
     cfg = MCConfig(params=params_for_intensity(x), dt=dt, n_paths=n_paths, seed=seed,
-                   dimension=1 if boundary == "interval" else 3, boundary=boundary)
+                   boundary=boundary)
     if max_time is not None:
         # below the validated minimum, so that paths get censored
         object.__setattr__(cfg, "max_time", max_time)

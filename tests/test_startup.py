@@ -25,8 +25,8 @@ from photofpt.params import params_for_intensity
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["rate", "--is", "3"], ["sweep", "--points", "5"],
-                 ["mc", "--paths", "200"], ["mc", "--dim", "3", "--paths", "200"],
-                 ["mc", "--dim", "3", "--boundary", "sphere", "--paths", "200"]):
+                 ["mc", "--paths", "200"], ["mc", "--boundary", "cube", "--paths", "200"],
+                 ["mc", "--boundary", "sphere", "--paths", "200"]):
         codes.append(cli.main(argv))
 stream = mc.simulate_event_stream(
     mc.MCConfig(params=params_for_intensity(2.0), dt=1e-2, n_paths=100, seed=1), horizon=5.0)
