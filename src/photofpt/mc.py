@@ -13,7 +13,8 @@ and Menozzi (Stoch. Proc. Appl. 120 (2010) 130), and leaves an O(dt) bias.
 
 Every path draws from its own counter-derived Philox substream, so results
 are a pure function of (config, seed): any path subset, evaluation order or
-worker layout reproduces the single-threaded ensemble bit for bit.
+worker layout reproduces the single-threaded ensemble bit for bit. That
+holds for threads too, since each thread resets generators of its own pool.
 
 Paths walk in lockstep blocks of _BLOCK, only a counted run's last holding
 fewer, each step one numpy call over the block. Each chunk of a path's normals
@@ -24,7 +25,9 @@ and the sphere and the cube are tested on the same positions.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+import operator
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,7 +93,8 @@ class MCConfig:
                 f"{0.05 * self.params.e_m / self.params.i_s:g}")
         if self.n_paths < 100:
             raise ValueError(f"n_paths must be >= 100, got {self.n_paths}")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        # Philox would truncate a float or parse a str, running another seed
+        if not 0 <= operator.index(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if self.max_time is None:
             object.__setattr__(self, "max_time", 100.0 * ts)
@@ -190,9 +194,11 @@ def _walks(config: MCConfig, dts: tuple[float, ...], boundaries: tuple[str, ...]
 
     Blocks hold _BLOCK paths, the last possibly fewer, so a caller that
     stops early has walked fewer than _BLOCK paths past its last one.
-    Row k of a block resets the k-th generator of one pool to its path's
-    Philox substream. Normal k drives step k of every leg, and each boundary
-    is tested against its leg's threshold e_m - BETA*sigma*sqrt(dt).
+    Paths draw from one pool of _BLOCK generators per thread, built on first
+    use and reset to the path's substream. A block is walked in full before
+    it is yielded, so interleaved walks never share live generator state.
+    Normal k drives step k of every leg, and each boundary is tested against
+    its leg's threshold e_m - BETA*sigma*sqrt(dt).
     """
     p = config.params
     dim = config.dimension
@@ -205,28 +211,34 @@ def _walks(config: MCConfig, dts: tuple[float, ...], boundaries: tuple[str, ...]
                 _BLOCK_NORMALS // (_BLOCK * dim))
     spheres = [b == "sphere" for b in boundaries]
     step_dt = np.repeat(dts, len(boundaries))
-    pool = [_substreams(config.seed) for _ in range(min(_BLOCK, n_paths))]
+    fresh = Philox(key=config.seed).state  # the seed's key, counter [0, 0, 0, 0]
+    # as lists, which the state setter reads in half the time of arrays
+    fresh["state"] = {k: v.tolist() for k, v in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     for start in range(0, n_paths, _BLOCK):
-        size = min(_BLOCK, n_paths - start)
-        steps = _block([pool[k](start + k) for k in range(size)], dim, legs, spheres,
-                       chunk, longest)
+        rngs = _substreams(fresh, start, min(_BLOCK, n_paths - start))
+        steps = _block(rngs, dim, legs, spheres, chunk, longest)
         yield np.where(steps > 0, steps * step_dt, math.nan)
 
 
-def _substreams(seed: int) -> Callable[[int], Generator]:
-    """index -> Generator(Philox(key=seed, counter=[0, 0, 0, index])), one
-    generator reset to that state each time, which is cheaper than building
-    one per path. The index lives in the top counter word; a path would have
-    to consume 2**192 blocks to collide with its neighbour."""
-    bitgen = Philox(key=seed)
-    fresh = bitgen.state  # counter [0, 0, 0, 0], empty buffer
-    rng = Generator(bitgen)
+_local = threading.local()
 
-    def reset(index: int) -> Generator:
-        fresh["state"]["counter"][3] = index
-        bitgen.state = fresh
-        return rng
-    return reset
+
+def _substreams(fresh: dict, start: int, size: int) -> list[Generator]:
+    """Generators k = 0, ..., size - 1 of this thread's pool, each reset to
+    Generator(Philox(key=seed, counter=[0, 0, 0, start + k])), where `fresh`
+    is Philox(key=seed).state. Resetting a pooled generator is cheaper than
+    building one per path, and the assignment rewrites key, counter and
+    buffer, so nothing of an earlier seed or draw survives. The index lives
+    in the top counter word; a path would have to consume 2**192 blocks to
+    collide with its neighbour."""
+    pool = _local.__dict__.setdefault("pool", [])
+    pool += [Generator(Philox(key=0)) for _ in range(size - len(pool))]
+    counter = fresh["state"]["counter"]
+    for k, rng in enumerate(pool[:size]):
+        counter[3] = start + k
+        rng.bit_generator.state = fresh
+    return pool[:size]
 
 
 def _block(rngs: list[Generator], dim: int, legs: list[tuple[float, float, int, float]],

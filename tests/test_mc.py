@@ -2,7 +2,9 @@
 the closed forms. Seeds are fixed; every assertion that involves noise keeps
 a three-standard-error margin or tests an ordering that holds at that seed.
 """
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath
@@ -369,6 +371,18 @@ def test_config_rejects_a_dimension_its_boundary_lacks(boundary, dimension):
                  dimension=dimension)
 
 
+@pytest.mark.parametrize("seed", [3.5, -0.5, "7", np.float64(3.0)])
+def test_config_rejects_a_seed_that_is_not_an_integer(seed):
+    # Philox would run seed 3 for 3.5 and seed 7 for "7"
+    with pytest.raises(TypeError):
+        MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=seed)
+
+
+def test_numpy_integer_seed_gives_the_same_ensemble():
+    cfg = _config(1.0, "interval", seed=5)
+    assert np.array_equal(_times(replace(cfg, seed=np.uint64(5))), _times(cfg), equal_nan=True)
+
+
 def test_config_defaults():
     cfg = MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1)
     assert cfg.max_time == 100.0
@@ -437,14 +451,58 @@ def _config(x, boundary, dt=1e-2, n_paths=100, seed=3, max_time=None):
 
 
 def test_substream_reset_matches_fresh_generator():
-    substream = _substreams(99)
-    for index in (5, 0, 2 ** 40):
-        rng = substream(3)
+    """A pooled slot last used under seed 99, partly consumed, is reset to
+    the fresh generator of (seed, index); seed 2**63 + 5 rewrites the key."""
+    for seed, index in itertools.product((99, 2 ** 63 + 5), (5, 0, 2 ** 40)):
+        rng, = _substreams(Philox(key=99).state, 3, 1)
         rng.standard_normal(7)                 # partly consumed Philox block
         rng.random(dtype=np.float32)           # and a buffered 32-bit half
-        fresh = Generator(Philox(key=99, counter=[0, 0, 0, index]))
-        assert np.array_equal(substream(index).standard_normal(1001),
-                              fresh.standard_normal(1001))
+        reset, = _substreams(Philox(key=seed).state, index, 1)
+        assert reset is rng
+        fresh = Generator(Philox(key=seed, counter=[0, 0, 0, index]))
+        assert np.array_equal(reset.standard_normal(1001), fresh.standard_normal(1001))
+
+
+def _walk(config):
+    return mc._walks(config, (config.dt,), None, config.n_paths)
+
+
+def test_interleaved_walks_yield_what_each_yields_alone():
+    """Two walks share one generator pool; consumed block by block in turn,
+    each yields exactly its blocks when consumed alone."""
+    configs = [_config(1.0, "interval", n_paths=300, seed=seed) for seed in (3, 2 ** 63 + 5)]
+    alone = [list(_walk(cfg)) for cfg in configs]
+    walks = [_walk(cfg) for cfg in configs]
+    together = [[next(walk) for walk in walks] for _ in range(3)]
+    assert [next(walk, None) for walk in walks] == [None, None]
+    for blocks, turns in zip(alone, zip(*together)):
+        assert len(blocks) == 3
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(blocks, turns))
+    assert not np.array_equal(alone[0][0], alone[1][0], equal_nan=True)
+
+
+def test_richardson_after_a_broken_off_stream_is_unchanged():
+    """A stream stops inside a block and leaves its generators partly
+    consumed under its own seed; a Richardson run afterwards gives what it
+    gives in a thread whose pool is new."""
+    rich = _config(2.0, "interval", n_paths=300, seed=11)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first = pool.submit(simulate_fpt_richardson, rich).result()
+    cfg = MCConfig(params=params_for_intensity(8.0), dt=1e-3, n_paths=100, seed=77)
+    assert simulate_event_stream(cfg, horizon=25.0).count % mc._BLOCK
+    assert simulate_fpt_richardson(rich) == first
+
+
+def test_threads_reproduce_their_serial_samples():
+    """Each thread walks its own pool: two threads sampling different seeds
+    at once, over blocks of several GIL switch intervals each, give their
+    serial results bit for bit."""
+    configs = [_config(0.0, "interval", dt=1e-3, n_paths=1280, seed=seed) for seed in (21, 22)]
+    serial = [_times(cfg) for cfg in configs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(_times, configs))
+    for alone, both in zip(serial, threaded):
+        assert np.array_equal(alone, both, equal_nan=True)
 
 
 @pytest.mark.parametrize("config, dts, boundaries", [
