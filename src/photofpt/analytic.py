@@ -218,13 +218,34 @@ def survival_3d(t, params: DetectorParams, ctrl: SeriesControl | None = None):
     return k_fac ** 2 * l_fac
 
 
+@functools.lru_cache(maxsize=8)
+def _lattice(kl_max: int) -> tuple[np.ndarray, ...]:
+    """F's read-only x-free arrays: c = pi^2 S/4 once per distinct S, ascending,
+    ranked without a sort as S_kl = 8 m + 2, m = k(k+1)/2 + l(l+1)/2; the index
+    of each (k, l) into c; the denominators S_kl (2k+1)(2l+1) signed by the
+    parity of l, as g/(-d) is -(g/d) exactly; the parity mask of k."""
+    j = np.arange(kl_max)
+    m = (j * (j + 1) // 2)[:, None] + j * (j + 1) // 2
+    seen = np.zeros(m[-1, -1] + 1, dtype=bool)
+    seen[m] = True
+    odd = 2.0 * j + 1.0
+    den = (8.0 * m + 2.0) * odd[:, None] * odd
+    even = j % 2 == 0
+    lattice = (0.25 * math.pi ** 2 * (8.0 * np.flatnonzero(seen) + 2.0),
+               np.cumsum(seen, dtype=np.int32)[m] - 1, np.where(even, den, -den), even)
+    for a in lattice:
+        a.flags.writeable = False
+    return lattice
+
+
 def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     """The cube-model double series F(x).
 
     F(x) = sum_{k,l>=0} (-1)^(k+l) G_kl(x) / (S_kl (2k+1)(2l+1)) with
     S_kl = (2k+1)^2 + (2l+1)^2 and
     G_kl(x) = 1 - cosh(x)/cosh(sqrt(x^2 + pi^2 S_kl / 4)),
-    evaluated per (k, l) term. The cosh ratio is formed in log space, with
+    evaluated once per distinct S_kl of the cached lattice. The cosh ratio
+    is formed in log space, with
     log cosh x - log cosh y = -c/(x + y) + log1p(e^-2x) - log1p(e^-2y) and
     c = pi^2 S_kl / 4: large x and large indices cannot overflow, and the
     small gap y - x is never found by subtracting y from x, which would lose
@@ -236,25 +257,22 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     ctrl = ctrl or SeriesControl()
     if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    odd = 2.0 * np.arange(ctrl.kl_max) + 1.0
-    ok = odd[:, None]
-    ol = odd[None, :]
-    s = ok ** 2 + ol ** 2
-    c = 0.25 * math.pi ** 2 * s
+    c, index, den, even = _lattice(ctrl.kl_max)
     if x * x < math.inf:
         scale = 2.0 ** max(0, math.frexp(x)[1])  # exact, so the digits do not change
         y = np.sqrt(x * x + c)
-        g = -np.expm1(np.log1p(np.exp(-2.0 * x)) - np.log1p(np.exp(-2.0 * y)) - c / (x + y))
+        # e^-2y is exactly 0.0 past y = 373, where numpy's exp takes a slow
+        # underflow path; y ascends with c
+        n = int(np.searchsorted(y, 373.0, side="right"))
+        log1p_e = np.concatenate((np.log1p(np.exp(-2.0 * y[:n])), np.zeros(y.size - n)))
+        g = -np.expm1(np.log1p(np.exp(-2.0 * x)) - log1p_e - c / (x + y))
         g *= scale
     else:
         # once x*x overflows, y = x and G_kl = c/(2x) to double precision;
         # near x = 1e308 that is subnormal, so the series sums x G_kl = c/2
         g = 0.5 * c
         scale = x
-    mag = g / (s * ok * ol)
-
-    even = np.arange(ctrl.kl_max) % 2 == 0
-    row_val, row_res = _accelerated_alternating_sum(np.where(even, mag, -mag))
+    row_val, row_res = _accelerated_alternating_sum(g.take(index) / den)
     value, outer_res = map(float, _accelerated_alternating_sum(np.where(even, row_val, -row_val)))
     tail = outer_res + float(row_res.max())
     if tail > tolerance_for(value):

@@ -6,6 +6,7 @@ dimensionless intensity i_s*e_m/sigma**2 that controls every rate curve.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -76,9 +77,10 @@ class DetectorParams:
                              f"double {sys.float_info.min:g}, got {ts} "
                              f"for e_m={self.e_m}, sigma={self.sigma}")
         x = dimensionless_intensity(self)
-        if not math.isfinite(x):
-            raise ValueError(f"i_s*e_m/sigma**2 must be finite, got {x} for i_s={self.i_s}, "
-                             f"e_m={self.e_m}, sigma={self.sigma}")
+        # a positive i_s whose x underflows to 0 would pass for a dark detector
+        if not math.isfinite(x) or x == 0 < self.i_s:
+            raise ValueError(f"i_s*e_m/sigma**2 must be finite, and nonzero for i_s > 0, got {x} "
+                             f"for i_s={self.i_s}, e_m={self.e_m}, sigma={self.sigma}")
 
     @property
     def time_scale(self) -> float:
@@ -172,10 +174,9 @@ class SeriesControl:
     kl_max: int = 60
 
     def __post_init__(self):
-        if self.n_images < 1:
-            raise ValueError(f"n_images must be >= 1, got {self.n_images}")
-        if self.kl_max < 1:
-            raise ValueError(f"kl_max must be >= 1, got {self.kl_max}")
+        for name in ("n_images", "kl_max"):
+            if operator.index(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

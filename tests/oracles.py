@@ -12,10 +12,11 @@ the discrete Euler walk solves the one-step renewal equation by Nystrom
 quadrature, with no sampling; the finite-difference survival is the dense
 matrix exponential of the package's central-difference matrix, not its sine
 eigenbasis; the radial finite-difference mean is the banded LAPACK solve of
-the tridiagonal system that the package solves in closed form. The scalar
-image sum is the one exception: it is the package's survival as it was
-evaluated one time at a time, kept so that the array form can be pinned to
-it bit for bit.
+the tridiagonal system that the package solves in closed form. Two are
+exceptions, kept so that a faster form can be pinned to them bit for bit:
+the scalar image sum is the package's survival as it was evaluated one time
+at a time, and f3_full_lattice is the double series as it was evaluated on
+every (k, l) entry of the lattice.
 """
 import math
 
@@ -24,6 +25,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm, solve_banded
 from scipy.special import log_ndtr
+
+from photofpt.analytic import _accelerated_alternating_sum
+from photofpt.params import SeriesControl, TruncationError, tolerance_for
 
 
 def cube_dark_mean_mpmath(dps: int = 20) -> float:
@@ -79,6 +83,39 @@ def f3_split(x: float, dps: int = 30) -> float:
                 l += 1
             k += 1
         return float(mp.pi ** 4 / 128 - mp.pi / 4 * single - double)
+
+
+def f3_full_lattice(x: float, ctrl: SeriesControl | None = None) -> float:
+    """The cube double series F(x) as f3_series evaluated it on all kl_max^2
+    entries of the (k, l) lattice, rebuilding the x-free arrays on each call:
+    the same arithmetic in the same order, so the value, or the
+    TruncationError and its message, must match f3_series exactly."""
+    ctrl = ctrl or SeriesControl()
+    if not x >= 0:
+        raise ValueError(f"x must be >= 0, got {x}")
+    odd = 2.0 * np.arange(ctrl.kl_max) + 1.0
+    ok = odd[:, None]
+    ol = odd[None, :]
+    s = ok ** 2 + ol ** 2
+    c = 0.25 * math.pi ** 2 * s
+    if x * x < math.inf:
+        scale = 2.0 ** max(0, math.frexp(x)[1])
+        y = np.sqrt(x * x + c)
+        g = -np.expm1(np.log1p(np.exp(-2.0 * x)) - np.log1p(np.exp(-2.0 * y)) - c / (x + y))
+        g *= scale
+    else:
+        g = 0.5 * c
+        scale = x
+    mag = g / (s * ok * ol)
+
+    even = np.arange(ctrl.kl_max) % 2 == 0
+    row_val, row_res = _accelerated_alternating_sum(np.where(even, mag, -mag))
+    value, outer_res = map(float, _accelerated_alternating_sum(np.where(even, row_val, -row_val)))
+    tail = outer_res + float(row_res.max())
+    if tail > tolerance_for(value):
+        raise TruncationError(f"double-series tail estimate {tail / scale:.3e} exceeds "
+                              f"tolerance at kl_max={ctrl.kl_max}")
+    return value / scale
 
 
 def iterated_average_sum(signed_terms) -> tuple[np.ndarray, np.ndarray]:

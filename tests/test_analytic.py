@@ -9,13 +9,15 @@ mean first-passage times against direct quadrature of the survival curve.
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import (DARK_MEAN_3D, DARK_RATE_3D, cube_dark_mean_mpmath, f3_split,
-                     fd_survival_expm, image_survival_scalar, iterated_average_sum)
+from oracles import (DARK_MEAN_3D, DARK_RATE_3D, cube_dark_mean_mpmath, f3_full_lattice,
+                     f3_split, fd_survival_expm, image_survival_scalar,
+                     iterated_average_sum)
 
 from photofpt import analytic
 from photofpt.analytic import (
@@ -451,6 +453,60 @@ def test_double_series_truncation_guard_at_large_x(x, kl_max):
     off here."""
     with pytest.raises(TruncationError):
         f3_series(x, SeriesControl(kl_max=kl_max))
+
+
+# x = 372.9, 373 and 373.1 straddle the cut past which e^-2y is left at 0.0
+_LATTICE_XS = [0.0, 1e-300, *map(float, np.geomspace(1e-3, 1e6, 400)),
+               372.9, 373.0, 373.1, 1e4, 1e100, 1.7e308]
+
+
+def _repr_or_message(fn, x: float, kl_max: int) -> str:
+    try:
+        return repr(fn(x, SeriesControl(kl_max=kl_max)))
+    except TruncationError as exc:
+        return f"TruncationError: {exc}"
+
+
+@pytest.mark.parametrize("kl_max", [1, 2, 3, 7, 60, 120, 160, 400])
+def test_double_series_is_the_full_lattice_sum(kl_max):
+    """G once per distinct S_kl over the cached lattice gives the
+    full-lattice value bit for bit, or the same TruncationError message."""
+    got = [_repr_or_message(f3_series, x, kl_max) for x in _LATTICE_XS]
+    assert got == [_repr_or_message(f3_full_lattice, x, kl_max) for x in _LATTICE_XS]
+
+
+def test_lattice_cache_is_read_only_and_bounded():
+    lattice = analytic._lattice(160)
+    for array in lattice:
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[0]
+    assert sum(array.nbytes for array in lattice) < 0.6e6
+    maxsize = analytic._lattice.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    for kl_max in range(1, maxsize + 3):
+        analytic._lattice(kl_max)
+    assert analytic._lattice.cache_info().currsize == maxsize
+
+
+def _series_at(kl_max: int) -> list[float]:
+    return [f3_series(float(x), SeriesControl(kl_max=kl_max)) for x in np.geomspace(1e-3, 1e3, 50)]
+
+
+def test_threads_reproduce_their_serial_series():
+    """Four threads filling and reading the lattice cache at once, each at
+    its own kl_max and switching every microsecond, give their serial values
+    bit for bit."""
+    kl_maxes = (60, 120, 160, 200)
+    serial = [_series_at(kl_max) for kl_max in kl_maxes]
+    analytic._lattice.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(kl_maxes)) as pool:
+            threaded = list(pool.map(_series_at, kl_maxes, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 @settings(max_examples=300)

@@ -95,6 +95,7 @@ def _one_error_line(err: str) -> bool:
     ("field", "--x-min", "nan", "--points", "2"),
     ("sweep", "--x-max", "inf", "--points", "3"),
     ("rate", "--is", "5e-324"),                      # the excess, about 1/x, overflows
+    ("rate", "--is", "1e-320", "--em", "1e-5"),      # i_s > 0, x underflows to 0
     ("sweep", "--x-min", "1e-320", "--points", "2"),
     ("rate", "--em", "2.6e16", "--sigma", "2.6e16", "--is", "1.9e178",
      "--cross-section", "1.9e178"),                  # cross_section/mean overflows

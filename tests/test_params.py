@@ -47,6 +47,7 @@ def test_time_scale_units():
     dict(e_m=1e-160, sigma=1.0),
     dict(e_m=1.0, sigma=1e-160),
     dict(e_m=1e10, sigma=1.0, i_s=1e300),  # i_s*e_m/sigma**2 overflows
+    dict(e_m=1e-5, sigma=1.0, i_s=1e-320),  # i_s > 0 but i_s*e_m/sigma**2 underflows to 0
     dict(e_m=1e-150, sigma=1e11),  # normal squares, subnormal time scale
 ])
 def test_rejects_bad_detector_values(kwargs):
@@ -89,6 +90,12 @@ def test_tolerance_floor():
 ])
 def test_series_control_validation(kwargs):
     with pytest.raises(ValueError):
+        SeriesControl(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(kl_max=60.0), dict(n_images=30.5), dict(kl_max="60")])
+def test_series_control_rejects_orders_that_are_not_integers(kwargs):
+    with pytest.raises(TypeError):
         SeriesControl(**kwargs)
 
 
