@@ -34,6 +34,16 @@ def _exp_integrals():
     return exp1, expi
 
 
+def _closed_form(tau, e_neg, e_pos):
+    """g below tau = 40 from e^-tau and e^tau, for a float or an array."""
+    exp1, expi = _exp_integrals()
+    t2 = tau * tau
+    t3 = t2 * tau
+    return _PREF * ((t3 / 96.0 - t2 / 32.0 - tau / 32.0) * e_neg * expi(tau)
+                    + (t3 / 96.0 + t2 / 32.0 - tau / 32.0) * e_pos * exp1(tau)
+                    + 1.0 / 12.0 - t2 / 48.0)
+
+
 def g_tau(tau: float) -> float:
     """Correlation value (2/3pi) int_0^inf x^3 cos(tau x)/(x^2+1)^4 dx.
 
@@ -50,12 +60,7 @@ def g_tau(tau: float) -> float:
     if tau == 0.0:
         return G0
     if tau < 40.0:
-        exp1, expi = _exp_integrals()
-        t2 = tau * tau
-        t3 = t2 * tau
-        return float(_PREF * ((t3 / 96.0 - t2 / 32.0 - tau / 32.0) * math.exp(-tau) * expi(tau)
-                              + (t3 / 96.0 + t2 / 32.0 - tau / 32.0) * math.exp(tau) * exp1(tau)
-                              + 1.0 / 12.0 - t2 / 48.0))
+        return float(_closed_form(tau, math.exp(-tau), math.exp(tau)))
     # 1/tau^2 as (1/tau)^2, which underflows to 0 quietly where tau^2 overflows
     inv2 = (1.0 / tau) ** 2
     term = total = 6.0 * inv2 * inv2  # k = 1: 3! C(3,3) / tau^4
@@ -63,6 +68,29 @@ def g_tau(tau: float) -> float:
         term *= (2 * k + 2) * (2 * k + 3) * (k + 3) / k * inv2  # term k + 1
         total += term
     return _PREF * total
+
+
+# term k + 1 / term k of the large-lag expansion, over 1/tau^2, k = 1, ..., 29
+_TERM_RATIOS = np.array([(2 * k + 2) * (2 * k + 3) * (k + 3) / k for k in range(1, 30)])[:, None]
+
+
+def _g_nodes(taus: np.ndarray) -> np.ndarray:
+    """g_tau on an array of lags in (0, inf), bit for bit: the expansion keeps
+    each lag's term count and the scalar loop's order of operations, and
+    e^+-tau and 1/tau^2 come from libm, which numpy's exp and square can miss
+    by an ulp."""
+    near = taus < 40.0
+    g = np.empty_like(taus)
+    g[near] = _closed_form(taus[near], *(np.array([math.exp(s * t) for t in taus[near].tolist()])
+                                         for s in (-1.0, 1.0)))
+    # row k - 1 holds term k of the scalar loop's running product, and the
+    # running sum down the rows adds each lag's terms k < min(30, tau // 2)
+    tau = taus[~near]
+    inv2 = np.array([(1.0 / t) ** 2 for t in tau.tolist()])
+    terms = np.multiply.accumulate(np.concatenate(([6.0 * inv2 * inv2], _TERM_RATIOS * inv2)))
+    terms[np.arange(30)[:, None] >= np.minimum(tau // 2.0, 30.0)] = 0.0
+    g[~near] = _PREF * np.add.accumulate(terms)[-1]
+    return g
 
 
 def g_tau_small(tau: float) -> float:
@@ -140,7 +168,7 @@ def sigma_const(atom: AtomModel) -> SigmaEstimate:
     figures, which are merely reported for comparison. Both integrals are
     the exp-sinh rule of params._tanh_sinh.
     """
-    sq = _tanh_sinh(lambda ts: np.array([g_tau(t) ** 2 for t in ts.tolist()]), math.inf)
+    sq = _tanh_sinh(lambda ts: _g_nodes(ts) ** 2, math.inf)
     sigma_sq_time = sq / (4.0 * math.pi ** 2)
 
     moment, _ = moment_integral()

@@ -165,8 +165,8 @@ class EventStream:
     horizon: float
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         times = np.asarray(self.event_times, dtype=float)
         if times.size:
             if times[0] <= 0 or np.any(np.diff(times) <= 0):
@@ -297,7 +297,10 @@ def _block(rngs: list[Generator], dim: int, legs: list[tuple[float, float, int, 
             keep = (hits[rows, j] == 0).any(axis=1) & (done + n < cap)
             live[j] = rows[keep]
             carry[j] = pos[keep, -1]
-        drawing = np.unique(np.concatenate(live))
+        # the sorted union through a mask; np.unique would import numpy.ma
+        alive = np.zeros(size, dtype=bool)
+        alive[np.concatenate(live)] = True
+        drawing = np.flatnonzero(alive)
         done += m
     return hits.reshape(size, -1)
 
@@ -372,8 +375,8 @@ def simulate_event_stream(config: MCConfig, horizon: float) -> EventStream:
     stops fewer than _BLOCK intervals past the horizon. A censored interval
     (no absorption within max_time) advances the clock without an event.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     events: list[float] = []
     clock = 0.0
     times = (t for b in _walks(config, (config.dt,), None, 2 ** 64) for t in b[:, 0].tolist())

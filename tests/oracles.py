@@ -12,11 +12,12 @@ the discrete Euler walk solves the one-step renewal equation by Nystrom
 quadrature, with no sampling; the finite-difference survival is the dense
 matrix exponential of the package's central-difference matrix, not its sine
 eigenbasis; the radial finite-difference mean is the banded LAPACK solve of
-the tridiagonal system that the package solves in closed form. Two are
+the tridiagonal system that the package solves in closed form. Three are
 exceptions, kept so that a faster form can be pinned to them bit for bit:
 the scalar image sum is the package's survival as it was evaluated one time
-at a time, and f3_full_lattice is the double series as it was evaluated on
-every (k, l) entry of the lattice.
+at a time, image_sum_two_bounds is the array survival as it was evaluated
+with two log Phi bounds per image, and f3_full_lattice is the double series
+as it was evaluated on every (k, l) entry of the lattice.
 """
 import math
 
@@ -27,7 +28,7 @@ from scipy.linalg import expm, solve_banded
 from scipy.special import log_ndtr
 
 from photofpt.analytic import _accelerated_alternating_sum
-from photofpt.params import SeriesControl, TruncationError, tolerance_for
+from photofpt.params import ABS_TOL, SeriesControl, TruncationError, tolerance_for
 
 
 def cube_dark_mean_mpmath(dps: int = 20) -> float:
@@ -238,6 +239,45 @@ def radial_fd_banded(e_m: float, sigma: float, nr: int) -> float:
     ab[0, 1] = 6.0 * diff / dr ** 2
     u = solve_banded((1, 1), ab, np.full(m, -1.0))
     return float(u[0])
+
+
+def image_sum_two_bounds(ts: np.ndarray, drift: float, params,
+                         ctrl: SeriesControl | None = None) -> np.ndarray:
+    """The image-sum survival of one axis on an array of finite positive
+    times, as the package evaluated it with two log Phi bounds per image,
+    truncation guards and clip included: the upper bound (c + e_m - drift t)
+    and the lower bound (c - e_m - drift t) over sigma sqrt(t) of each image
+    centre c = 2 e_m n."""
+    ctrl = ctrl or SeriesControl()
+    drift = abs(drift)
+    a = params.e_m
+    sig2 = params.sigma ** 2
+    root_t = params.sigma * np.sqrt(ts)[:, None]
+    n = np.arange(-ctrl.n_images, ctrl.n_images + 1)
+    centers = 2.0 * a * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = drift * ts[:, None]
+        log_weight = -centers * drift / sig2
+        upper = (centers + a - shift) / root_t
+        lower = (centers - a - shift) / root_t
+        terms = np.exp(log_weight + log_ndtr(upper)) - np.exp(log_weight + log_ndtr(lower))
+        signed = np.where(n % 2 == 0, terms, -terms)
+    value = signed.sum(axis=-1)
+    mags = np.abs(terms[:, [0, 1, -2, -1]])
+    tail = mags[:, 3] + mags[:, 0]
+    if ctrl.n_images >= 2:
+        growing = (tail > mags[:, 2] + mags[:, 1]) & (tail > ABS_TOL)
+        if growing.any():
+            raise TruncationError(f"image shells still growing at n_images={ctrl.n_images} "
+                                  f"(t={ts[growing][0]}, drift={drift})")
+    over = tail > tolerance_for(value)
+    if over.any():
+        raise TruncationError(f"image tail {tail[over][0]:.3e} exceeds tolerance at "
+                              f"n_images={ctrl.n_images} (t={ts[over][0]})")
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"the image sum at drift {drift:g} is not finite at t = {ts[~finite][0]}")
+    return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
 def image_survival_scalar(t: float, drift: float, e_m: float, sigma: float,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (DARK_MEAN_3D, DARK_RATE_3D, cube_dark_mean_mpmath, f3_full_lattice,
-                     f3_split, fd_survival_expm, image_survival_scalar,
+                     f3_split, fd_survival_expm, image_sum_two_bounds, image_survival_scalar,
                      iterated_average_sum)
 
 from photofpt import analytic
@@ -341,6 +341,84 @@ def test_batched_image_sum_is_the_scalar_sum(monkeypatch, x):
         assert axis_survival_image(ts, drift, p).tolist() == want
 
 
+# the two-bound oracle's grid, with t = 0.5 of the +-50 pin
+_IMAGE_TS = np.append(np.geomspace(1e-4, 30.0, 300), 0.5)
+_IMAGE_DRIFTS = [0.0, 0.5, 3.0, 50.0, -2.0, 1e4]
+
+
+def _reprs_or_message(fn, *args):
+    try:
+        return [repr(v) for v in fn(*args).tolist()]
+    except (TruncationError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("drift", _IMAGE_DRIFTS)
+def test_image_sum_per_edge_is_the_two_bound_sum(drift):
+    """At e_m = sigma = 1 each shared edge 2 m + 1 is the two-bound sum's
+    lower bound 2 (m + 1) - 1 exactly, so every value is bit-identical."""
+    got = _reprs_or_message(axis_survival_image, _IMAGE_TS, drift, UNIT)
+    assert got == _reprs_or_message(image_sum_two_bounds, _IMAGE_TS, drift, UNIT)
+    assert isinstance(got, list)
+
+
+@pytest.mark.parametrize("e_m", [0.7, 3.3, 1e-3])
+@pytest.mark.parametrize("drift", _IMAGE_DRIFTS)
+def test_image_sum_per_edge_is_the_two_bound_sum_to_round_off(e_m, drift):
+    """Elsewhere a lower edge 2 e_m m + e_m can round one ulp away from the
+    two-bound sum's 2 e_m (m + 1) - e_m: the survival moves by round-off,
+    and a guard that trips in one trips in both with the same message. The
+    times t e_m^2 keep the sum within its truncation; the unscaled times
+    trip it at e_m = 1e-3."""
+    p = DetectorParams(e_m=e_m, sigma=1.0)
+    for ts in (e_m ** 2 * _IMAGE_TS, _IMAGE_TS):
+        got = _reprs_or_message(axis_survival_image, ts, drift / e_m, p)
+        want = _reprs_or_message(image_sum_two_bounds, ts, drift / e_m, p)
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want
+        else:
+            assert np.max(np.abs(np.array(got, dtype=float) - np.array(want, dtype=float))) <= 1e-15
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, 5.0, 1e4])
+def test_survival_3d_is_the_product_of_two_image_sums(x):
+    """One image-sum evaluation for both factors gives K^2 L of two
+    separate calls bit for bit, for an array of times and for each alone."""
+    p = params_for_intensity(x)
+    ts = np.geomspace(1e-3, 30.0, 120)
+    k_fac = axis_survival_image(ts, 0.0, p)
+    l_fac = axis_survival_image(ts, p.i_s, p)
+    assert survival_3d(ts, p).tolist() == (k_fac ** 2 * l_fac).tolist()
+    for t in ts[::7].tolist():
+        assert survival_3d(t, p) == axis_survival_image(t, 0.0, p) ** 2 * axis_survival_image(
+            t, p.i_s, p)
+
+
+def test_survival_3d_guards_the_driftless_factor_first():
+    """Where both factors trip a guard, the driftless factor's message is
+    raised, as when it was evaluated first; where only the drift axis fails,
+    its message is."""
+    lit, ctrl, t = params_for_intensity(1.0), SeriesControl(n_images=1), np.array([4.0])
+    k_msg = _reprs_or_message(axis_survival_image, t, 0.0, lit, ctrl)
+    assert k_msg != _reprs_or_message(axis_survival_image, t, lit.i_s, lit, ctrl)
+    assert _reprs_or_message(survival_3d, t, lit, ctrl) == k_msg
+    huge = params_for_intensity(1.7e308)
+    l_msg = _reprs_or_message(axis_survival_image, t, huge.i_s, huge)
+    assert isinstance(_reprs_or_message(axis_survival_image, t, 0.0, huge), list)
+    assert l_msg.startswith("ValueError")
+    assert _reprs_or_message(survival_3d, t, huge) == l_msg
+
+
+def test_image_arrays_are_cached_read_only():
+    m, sign = analytic._images(30)
+    assert m.tolist() == list(range(-31, 31))
+    assert sign.tolist() == [1.0 if n % 2 == 0 else -1.0 for n in range(-30, 31)]
+    for array in (m, sign):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert analytic._images(30) is analytic._images(30)
+
+
 def _spectral_scalar(t: float) -> float:
     """The spectral survival at e_m = sigma = 1 as it was summed for one t,
     the Euler contraction on a 1-D series."""
@@ -455,8 +533,11 @@ def test_double_series_truncation_guard_at_large_x(x, kl_max):
         f3_series(x, SeriesControl(kl_max=kl_max))
 
 
-# x = 372.9, 373 and 373.1 straddle the cut past which e^-2y is left at 0.0
+# x = 372.9, 373 and 373.1 straddle the cut past which e^-2y is left at 0.0;
+# from x = 354 log1p(e^-2x) is subnormal, and at 5, 10 and 100 the cut on
+# log1p(e^-2y) falls at y = 24, 29 and 119, far below 373
 _LATTICE_XS = [0.0, 1e-300, *map(float, np.geomspace(1e-3, 1e6, 400)),
+               *map(float, np.linspace(354.0, 373.0, 39)), 5.0, 10.0, 100.0,
                372.9, 373.0, 373.1, 1e4, 1e100, 1.7e308]
 
 

@@ -10,6 +10,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import g_mpmath, g_panel_quadrature
@@ -123,6 +124,20 @@ def test_moment_disagreement_fails_check_10_alone(monkeypatch):
     monkeypatch.setattr(field, "moment_integral_exact", lambda: exact + 1e-9)
     assert not run_check(10).passed
     assert run_check(11).passed
+
+
+def test_sigma_const_g_is_g_tau_on_every_node(monkeypatch):
+    """sigma_const's array g equals the scalar g_tau bit for bit on every
+    node of its rule, closed form and large-lag expansion alike, and on
+    lags where the expansion's term count runs from 20 to 30."""
+    nodes = []
+    rule = field._tanh_sinh
+    monkeypatch.setattr(field, "_tanh_sinh",
+                        lambda f, hi: rule(lambda t: nodes.append(t) or f(t), hi))
+    sigma_const(AtomModel())
+    taus = np.concatenate((*nodes, np.linspace(40.0, 64.0, 481), np.geomspace(40.0, 1e300, 50)))
+    assert (taus < 40.0).sum() > 100
+    assert field._g_nodes(taus).tolist() == [g_tau(t) for t in taus.tolist()]
 
 
 @pytest.fixture(scope="module")

@@ -295,6 +295,15 @@ def test_event_stream_is_a_prefix_across_horizons(monkeypatch):
     assert simulate_event_stream(cfg, horizon=25.0) == stream
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_event_stream_rejects_a_non_finite_horizon(horizon):
+    """An infinite horizon would walk forever; it and a NaN raise before
+    any path is walked."""
+    cfg = MCConfig(params=params_for_intensity(2.0), dt=1e-2, n_paths=100, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_event_stream(cfg, horizon)
+
+
 def test_event_stream_rate_matches_inverse_mean(stream_x2):
     cfg, stream = stream_x2
     gaps = stream.interarrivals()
@@ -403,6 +412,9 @@ def test_event_stream_validation():
         EventStream(event_times=(-0.1,), horizon=1.0)
     with pytest.raises(ValueError):
         EventStream(event_times=(), horizon=0.0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            EventStream(event_times=(), horizon=horizon)
     empty = EventStream(event_times=(), horizon=2.0)
     assert empty.count == 0
     assert empty.rate == 0.0
