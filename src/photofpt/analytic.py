@@ -128,55 +128,47 @@ def _as_given(value: np.ndarray, t, scalar: bool):
 
 @functools.lru_cache(maxsize=8)
 def _images(n_images: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only edge indices m = -n_images - 1, ..., n_images of the image
-    sum, edge m bounding image m above and image m + 1 below, and the parity
-    signs of images -n_images, ..., n_images."""
+    """Read-only image edges m = -n_images - 1, ..., n_images, edge m bounding
+    image m above, and the parity signs of images -n_images, ..., n_images."""
     m = np.arange(-n_images - 1, n_images + 1)
     sign = np.where(m[1:] % 2 == 0, 1.0, -1.0)
     m.flags.writeable = sign.flags.writeable = False
     return m, sign
 
 
-def _image_sums(t, drifts: tuple[float, ...], params: DetectorParams,
-                ctrl: SeriesControl | None) -> list:
-    """axis_survival_image at each drift from one log Phi call over the image
-    edges, the drifts on a leading axis; each meets the guards in turn."""
+def _image_sums(t, drifts: tuple[float, ...], params: DetectorParams, ctrl: SeriesControl | None):
+    """Yield axis_survival_image at each drift in turn, all from one log Phi call."""
     from scipy.special import log_ndtr
 
     ctrl = ctrl or SeriesControl()
     ts, scalar = _times(t)
     m, sign = _images(ctrl.n_images)
     drift = np.abs(np.asarray(drifts, dtype=float))[:, None, None]
-    a = params.e_m
     root_t = params.sigma * np.sqrt(ts)[:, None]
-    centers = 2.0 * a * m
+    centers = 2.0 * params.e_m * m
     # overflows give +-inf bounds and weights; a term they make NaN or
     # infinite is rejected below rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
         shift = drift * ts[:, None]
         log_weight = -centers[1:] * drift / params.sigma ** 2
-        log_phi = log_ndtr((centers + a - shift) / root_t)
+        log_phi = log_ndtr((centers + params.e_m - shift) / root_t)
         terms = np.exp(log_weight + log_phi[..., 1:]) - np.exp(log_weight + log_phi[..., :-1])
     values = (terms * sign).sum(axis=-1)
 
     # alternating image shells |term(-j)| + |term(+j)| decrease once past the
     # direct term, so the first omitted shell is bounded by the last kept one
     mags = np.abs(terms[..., [0, 1, -2, -1]])
-    given = []
     for d, value, mag in zip(map(abs, drifts), values, mags):
         tail = mag[:, 3] + mag[:, 0]
-        if ctrl.n_images >= 2:
-            growing = (tail > mag[:, 2] + mag[:, 1]) & (tail > ABS_TOL)
-            if growing.any():
-                raise TruncationError(f"image shells still growing at n_images={ctrl.n_images} "
-                                      f"(t={ts[growing][0]}, drift={d})")
+        growing = (ctrl.n_images >= 2) & (tail > mag[:, 2] + mag[:, 1]) & (tail > ABS_TOL)
+        if growing.any():
+            raise TruncationError(f"image shells still growing at n_images={ctrl.n_images} "
+                                  f"(t={ts[growing][0]}, drift={d})")
         over = tail > tolerance_for(value)
         if over.any():
             raise TruncationError(f"image tail {tail[over][0]:.3e} exceeds tolerance at "
                                   f"n_images={ctrl.n_images} (t={ts[over][0]})")
-        given.append(_as_given(_unit_interval(value, ts, f"the image sum at drift {d:g}"),
-                               t, scalar))
-    return given
+        yield _as_given(_unit_interval(value, ts, f"the image sum at drift {d:g}"), t, scalar)
 
 
 def axis_survival_image(t, drift: float, params: DetectorParams,
@@ -186,9 +178,8 @@ def axis_survival_image(t, drift: float, params: DetectorParams,
     Probability that a diffusion with the given drift and diffusion
     coefficient sigma**2/2, started at 0, has not reached +-e_m by time t.
     Each image term is the exact Gaussian integral over (-e_m, e_m), so no
-    quadrature over the state is involved; weights and normal CDFs are
-    combined in log space to keep large-drift terms finite. Image n's lower
-    bound is image n - 1's upper one, so log Phi is evaluated once per edge.
+    quadrature over the state is involved; weights and normal CDFs, one CDF
+    per image edge, are combined in log space to keep large-drift terms finite.
 
     t may be a float, which gives a float, or an array of finite positive
     times, which gives an array of their survivals: the image sums are laid
@@ -197,7 +188,7 @@ def axis_survival_image(t, drift: float, params: DetectorParams,
     at +drift. A NaN drift, or terms that overflow where the drift or t is
     extreme, raise ValueError.
     """
-    return _image_sums(t, (drift,), params, ctrl)[0]
+    return next(_image_sums(t, (drift,), params, ctrl))
 
 
 def axis_survival_spectral(t, params: DetectorParams,
@@ -230,10 +221,9 @@ def axis_survival_spectral(t, params: DetectorParams,
 
 def survival_3d(t, params: DetectorParams, ctrl: SeriesControl | None = None):
     """Cube survival probability at time t, K**2 * L: K is the factor of each
-    driftless axis (image form at drift 0), L that of the drift axis, both
-    from one image-sum evaluation. t may be a float or an array, as for
-    axis_survival_image."""
-    fac = _image_sums(t, (0.0, params.i_s) if params.i_s else (0.0,), params, ctrl)
+    driftless axis, L that of the drift axis, both from one image-sum call.
+    t may be a float or an array, as for axis_survival_image."""
+    fac = [*_image_sums(t, (0.0, params.i_s) if params.i_s else (0.0,), params, ctrl)]
     return fac[0] ** 2 * fac[-1]
 
 
@@ -283,16 +273,13 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
         k = int(np.searchsorted(c, 80.0 * x + 1600.0, side="right"))
         y = np.sqrt(x * x + c[:k])
         log1p_x = np.log1p(np.exp(-2.0 * x))
-        # y ascends with c. Past the cut log1p(e^-2y) < ulp(log1p_x)/8 cannot
-        # change log1p_x (8, not 4, spares the rounding of cut and exp), and
-        # past y = 373 numpy's exp takes a slow path to an exact 0.0
+        # y ascends with c. Past the cut log1p(e^-2y) < ulp(log1p_x)/8 cannot change
+        # log1p_x (8, not 4, allows for rounding); past y = 373 numpy's exp is slow
         cut = min(373.0, 0.5 * (math.log(8.0) - math.log(math.ulp(log1p_x))))
         n = int(np.searchsorted(y, cut, side="right"))
-        arg = np.full(k, log1p_x)
-        arg[:n] -= np.log1p(np.exp(-2.0 * y[:n]))
-        arg -= c[:k] / (x + y)
-        g = np.full(c.size, scale)
-        g[:k] = -np.expm1(arg) * scale
+        log1p_e = np.concatenate((np.log1p(np.exp(-2.0 * y[:n])), np.zeros(k - n)))
+        g = np.concatenate((-np.expm1(log1p_x - log1p_e - c[:k] / (x + y)), np.ones(c.size - k)))
+        g *= scale
     else:
         # once x*x overflows, y = x and G_kl = c/(2x) to double precision;
         # near x = 1e308 that is subnormal, so the series sums x G_kl = c/2

@@ -61,33 +61,24 @@ def g_tau(tau: float) -> float:
         return G0
     if tau < 40.0:
         return float(_closed_form(tau, math.exp(-tau), math.exp(tau)))
-    # 1/tau^2 as (1/tau)^2, which underflows to 0 quietly where tau^2 overflows
-    inv2 = (1.0 / tau) ** 2
-    term = total = 6.0 * inv2 * inv2  # k = 1: 3! C(3,3) / tau^4
-    for k in range(1, min(30, int(tau // 2))):
-        term *= (2 * k + 2) * (2 * k + 3) * (k + 3) / k * inv2  # term k + 1
-        total += term
-    return _PREF * total
-
-
-# term k + 1 / term k of the large-lag expansion, over 1/tau^2, k = 1, ..., 29
-_TERM_RATIOS = np.array([(2 * k + 2) * (2 * k + 3) * (k + 3) / k for k in range(1, 30)])[:, None]
+    return float(_g_nodes(np.array([tau]))[0])
 
 
 def _g_nodes(taus: np.ndarray) -> np.ndarray:
-    """g_tau on an array of lags in (0, inf), bit for bit: the expansion keeps
-    each lag's term count and the scalar loop's order of operations, and
-    e^+-tau and 1/tau^2 come from libm, which numpy's exp and square can miss
-    by an ulp."""
+    """g_tau on an array of lags in (0, inf). e^+-tau and 1/tau^2 come from
+    libm, as numpy's exp and square can miss it by an ulp."""
     near = taus < 40.0
     g = np.empty_like(taus)
     g[near] = _closed_form(taus[near], *(np.array([math.exp(s * t) for t in taus[near].tolist()])
                                          for s in (-1.0, 1.0)))
-    # row k - 1 holds term k of the scalar loop's running product, and the
-    # running sum down the rows adds each lag's terms k < min(30, tau // 2)
+    # row k - 1 holds term k = 3! C(3,3)/tau^4 prod_{j<k} (2j+2)(2j+3)(j+3)/(j tau^2) of
+    # the large-lag expansion; each lag sums its terms k <= min(30, tau // 2)
     tau = taus[~near]
+    # 1/tau^2 as (1/tau)^2, which underflows to 0 quietly where tau^2 overflows
     inv2 = np.array([(1.0 / t) ** 2 for t in tau.tolist()])
-    terms = np.multiply.accumulate(np.concatenate(([6.0 * inv2 * inv2], _TERM_RATIOS * inv2)))
+    j = np.arange(1, 30)[:, None]
+    terms = np.multiply.accumulate(np.concatenate(([6.0 * inv2 * inv2],
+                                                   (2 * j + 2) * (2 * j + 3) * (j + 3) / j * inv2)))
     terms[np.arange(30)[:, None] >= np.minimum(tau // 2.0, 30.0)] = 0.0
     g[~near] = _PREF * np.add.accumulate(terms)[-1]
     return g

@@ -297,10 +297,8 @@ def _block(rngs: list[Generator], dim: int, legs: list[tuple[float, float, int, 
             keep = (hits[rows, j] == 0).any(axis=1) & (done + n < cap)
             live[j] = rows[keep]
             carry[j] = pos[keep, -1]
-        # the sorted union through a mask; np.unique would import numpy.ma
-        alive = np.zeros(size, dtype=bool)
-        alive[np.concatenate(live)] = True
-        drawing = np.flatnonzero(alive)
+        # the sorted union without np.unique, which would import numpy.ma
+        drawing = np.flatnonzero(np.bincount(np.concatenate(live), minlength=size))
         done += m
     return hits.reshape(size, -1)
 

@@ -12,12 +12,14 @@ the discrete Euler walk solves the one-step renewal equation by Nystrom
 quadrature, with no sampling; the finite-difference survival is the dense
 matrix exponential of the package's central-difference matrix, not its sine
 eigenbasis; the radial finite-difference mean is the banded LAPACK solve of
-the tridiagonal system that the package solves in closed form. Three are
+the tridiagonal system that the package solves in closed form. Four are
 exceptions, kept so that a faster form can be pinned to them bit for bit:
 the scalar image sum is the package's survival as it was evaluated one time
 at a time, image_sum_two_bounds is the array survival as it was evaluated
-with two log Phi bounds per image, and f3_full_lattice is the double series
-as it was evaluated on every (k, l) entry of the lattice.
+with two log Phi bounds per image, f3_full_lattice is the double series
+as it was evaluated on every (k, l) entry of the lattice, and
+g_large_lag_loop is the large-lag expansion of g as it was summed one lag
+at a time.
 """
 import math
 
@@ -178,6 +180,18 @@ def g_mpmath(tau: float, dps: int = 30) -> float:
         pref = 2 / (3 * mp.pi)
         return float(mp.quadosc(lambda x: pref * x ** 3 * mp.cos(t * x) / (x * x + 1) ** 4,
                                 [0, mp.inf], omega=t))
+
+
+def g_large_lag_loop(tau: float) -> float:
+    """g at one lag tau >= 40 by the large-lag expansion
+    (2/3pi) sum_{k>=1} (2k+1)! C(k+2,3) / tau^(2k+2), summed term by term to
+    k = min(30, tau // 2) in the arithmetic the package used for one lag."""
+    inv2 = (1.0 / tau) ** 2
+    term = total = 6.0 * inv2 * inv2  # k = 1: 3! C(3,3) / tau^4
+    for k in range(1, min(30, int(tau // 2))):
+        term *= (2 * k + 2) * (2 * k + 3) * (k + 3) / k * inv2  # term k + 1
+        total += term
+    return 2.0 / (3.0 * math.pi) * total
 
 
 def euler_walk_mean_1d(x: float, dt: float, shift: float, panel: float = 0.5) -> float:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import g_mpmath, g_panel_quadrature
+from oracles import g_large_lag_loop, g_mpmath, g_panel_quadrature
 
 from photofpt import field
 from photofpt.field import (
@@ -129,7 +129,8 @@ def test_moment_disagreement_fails_check_10_alone(monkeypatch):
 def test_sigma_const_g_is_g_tau_on_every_node(monkeypatch):
     """sigma_const's array g equals the scalar g_tau bit for bit on every
     node of its rule, closed form and large-lag expansion alike, and on
-    lags where the expansion's term count runs from 20 to 30."""
+    lags where the expansion's term count runs from 20 to 30; from tau = 40
+    both equal the expansion summed one lag at a time."""
     nodes = []
     rule = field._tanh_sinh
     monkeypatch.setattr(field, "_tanh_sinh",
@@ -138,6 +139,8 @@ def test_sigma_const_g_is_g_tau_on_every_node(monkeypatch):
     taus = np.concatenate((*nodes, np.linspace(40.0, 64.0, 481), np.geomspace(40.0, 1e300, 50)))
     assert (taus < 40.0).sum() > 100
     assert field._g_nodes(taus).tolist() == [g_tau(t) for t in taus.tolist()]
+    large = taus[taus >= 40.0].tolist()
+    assert [g_tau(t) for t in large] == [g_large_lag_loop(t) for t in large]
 
 
 @pytest.fixture(scope="module")
