@@ -49,10 +49,6 @@ class RateCurve:
               "dark_fraction_1d", "dark_fraction_3d")
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def _in_place(path) -> bool:
     # an existing FIFO or device, which a rename would replace
     return os.path.exists(path) and not os.path.isfile(path)
@@ -87,7 +83,7 @@ def _emit(text: str, path=None) -> None:
 
 
 def _csv_text(header, rows) -> str:
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    lines = [",".join(header)] + [",".join(format(v, ".17g") for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -96,14 +92,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _add_param_flags(sub, cross_section: bool = True) -> None:
-    sub.add_argument("--em", type=float, default=1.0, help="absorption threshold e_m (default 1)")
-    sub.add_argument("--sigma", type=float, default=1.0, help="noise amplitude (default 1)")
-    sub.add_argument("--is", dest="i_s", type=float, default=0.0,
-                     help="signal intensity i_s (default 0; equals x when em=sigma=1)")
-    if cross_section:
-        sub.add_argument("--cross-section", type=float, default=1.0,
-                         help="area factor on rates (default 1)")
+# the model flags; each command declares only those it reads
+_PARAM_FLAGS = {
+    "--em": dict(type=float, default=1.0, help="absorption threshold e_m (default 1)"),
+    "--sigma": dict(type=float, default=1.0, help="noise amplitude (default 1)"),
+    "--is": dict(dest="i_s", type=float, default=0.0,
+                 help="signal intensity i_s (default 0; equals x when em=sigma=1)"),
+    "--cross-section": dict(type=float, default=1.0, help="area factor on rates (default 1)"),
+}
+
+
+def _add_param_flags(sub, *flags: str) -> None:
+    for flag in flags:
+        sub.add_argument(flag, **_PARAM_FLAGS[flag])
 
 
 def cmd_rate(args) -> int:
@@ -190,7 +191,7 @@ def cmd_mc(args) -> int:
     # mc reports means, not rates, so it takes no cross section
     params = DetectorParams(e_m=args.em, sigma=args.sigma, i_s=args.i_s)
     config = mc.MCConfig(params=params, dt=args.dt, n_paths=args.paths,
-                         seed=args.seed, boundary=args.boundary, max_time=args.max_time)
+                         seed=args.seed, boundary=args.boundary)
     rich = mc.simulate_fpt_richardson(config)
     ref = validation.reference_mean(params, config.boundary)
     payload = {
@@ -204,8 +205,7 @@ def cmd_mc(args) -> int:
     }
     _emit(_json_text(payload))
     if rich.coarse.unreliable or rich.fine.unreliable:
-        print("censoring above 0.1%: estimates unreliable, raise --max-time",
-              file=sys.stderr)
+        print("censoring above 0.1%: estimates unreliable", file=sys.stderr)
         return EXIT_QUALITY
     return EXIT_OK
 
@@ -272,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rate = sub.add_parser("rate", help="print rates and mean FPTs for one parameter point")
-    _add_param_flags(p_rate)
+    _add_param_flags(p_rate, *_PARAM_FLAGS)
 
     p_sweep = sub.add_parser("sweep", help="rate curve over an intensity grid")
-    _add_param_flags(p_sweep)
+    _add_param_flags(p_sweep, "--em", "--sigma", "--cross-section")
     p_sweep.add_argument("--x-min", type=float, default=0.01)
     p_sweep.add_argument("--x-max", type=float, default=100.0)
     p_sweep.add_argument("--points", type=int, default=50)
@@ -284,14 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_mc = sub.add_parser("mc", help="Richardson-extrapolated first-passage simulation")
-    _add_param_flags(p_mc, cross_section=False)
+    _add_param_flags(p_mc, "--em", "--sigma", "--is")
     p_mc.add_argument("--boundary", choices=tuple(mc.BOUNDARIES), default="interval",
                       help="interval (1D, the default), cube or sphere (3D)")
     p_mc.add_argument("--dt", type=float, default=1e-3)
     p_mc.add_argument("--paths", type=int, default=10_000)
     p_mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_mc.add_argument("--max-time", type=float, default=None,
-                      help="censoring cap per path (default 100 e_m^2/sigma^2)")
 
     p_field = sub.add_parser("field", help="correlation table and noise-amplitude report")
     p_field.add_argument("--x-min", type=float, default=0.0, help="first lag tau")

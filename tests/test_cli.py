@@ -3,8 +3,10 @@
 main() is driven directly so the tests see the real argparse wiring without
 spawning subprocesses.
 """
+import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -100,9 +102,9 @@ def _one_error_line(err: str) -> bool:
     ("rate", "--em", "2.6e16", "--sigma", "2.6e16", "--is", "1.9e178",
      "--cross-section", "1.9e178"),                  # cross_section/mean overflows
     ("field", "--x-max", "1e300", "--points", "3"),  # g_small overflows
-    ("mc", "--paths", "100", "--max-time", "inf"),
-    ("mc", "--paths", "100", "--max-time", "nan"),
-    ("mc", "--paths", "100", "--max-time", "1e308"),  # max_time/dt overflows
+    ("mc", "--em", "1e153", "--sigma", "0.1"),  # the cap 100 e_m**2/sigma**2 overflows
+    ("mc", "--dt", "5e-324", "--paths", "100"),  # dt/2 underflows to 0
+    ("mc", "--dt", "1e-323", "--paths", "100"),  # the cap over dt/2 overflows
     ("sweep", "--em", "1e-160", "--sigma", "1e-160", "--points", "2"),  # subnormal squares
     ("sweep", "--em", "0", "--points", "3"),         # 1/e_m for the linear detector
     ("rate", "--em", "1e-150", "--sigma", "1e11",
@@ -175,22 +177,12 @@ def _mc_dt(em, sigma, i_s, fraction):
 MC_WORK_BOUND = 10 ** 8
 
 
-def _mc_max_time(em, sigma, scale):
-    """scale times the shortest --max-time MCConfig allows, as a float
-    (inf or nan where that bound is not finite), or None for the default."""
-    if scale is None:
-        return None
-    with np.errstate(all="ignore"):
-        return float(scale * 100.0 * np.float64(em) ** 2 / np.float64(sigma) ** 2)
-
-
-def _mc_work(em, sigma, i_s, boundary, dt, paths, max_time) -> float:
+def _mc_work(em, sigma, i_s, boundary, dt, paths) -> float:
     """paths times the step cap at dt/2, the most path-steps a run can take,
     or 0 when MCConfig rejects the flags before any path is walked."""
     try:
         config = MCConfig(params=DetectorParams(e_m=em, sigma=sigma, i_s=i_s), dt=dt,
-                          n_paths=paths, seed=0, max_time=max_time,
-                          boundary=boundary or "interval")
+                          n_paths=paths, seed=0, boundary=boundary or "interval")
     except ValueError:
         return 0
     return paths * config.steps_cap(dt / 2.0)
@@ -204,24 +196,18 @@ def _mc_work(em, sigma, i_s, boundary, dt, paths, max_time) -> float:
        i_s=st.one_of(st.floats(0.0, 3.0), st.floats()),
        boundary=st.sampled_from([None, "interval", "cube", "sphere"]),
        fraction=st.floats(0.5, 1.0), seed=st.integers(),
-       paths=st.one_of(st.integers(100, 500), st.integers()),
-       max_time_scale=st.one_of(st.none(), st.floats(0.9, 4.0), st.floats()))
-def test_mc_flags_exit_0_or_one_error_line(em, sigma, i_s, boundary, fraction, seed,
-                                           paths, max_time_scale):
-    """Any parameter floats, seed and path count, a step of at most the
-    allowed one and any multiple of the shortest --max-time: finite JSON
-    (exit 0, or exit 3 with the censoring line), or exit 2 or 3 with one
-    error line. Runs that could take more than MC_WORK_BOUND path-steps are
-    not launched."""
+       paths=st.one_of(st.integers(100, 500), st.integers()))
+def test_mc_flags_exit_0_or_one_error_line(em, sigma, i_s, boundary, fraction, seed, paths):
+    """Any parameter floats, seed and path count and a step of at most the
+    allowed one: finite JSON (exit 0, or exit 3 with the censoring line), or
+    exit 2 or 3 with one error line. Runs that could take more than
+    MC_WORK_BOUND path-steps are not launched."""
     dt = _mc_dt(em, sigma, i_s, fraction)
-    max_time = _mc_max_time(em, sigma, max_time_scale)
-    assume(_mc_work(em, sigma, i_s, boundary, dt, paths, max_time) <= MC_WORK_BOUND)
+    assume(_mc_work(em, sigma, i_s, boundary, dt, paths) <= MC_WORK_BOUND)
     argv = ["mc", f"--em={em!r}", f"--sigma={sigma!r}", f"--is={i_s!r}",
             "--paths", str(paths), f"--seed={seed}", f"--dt={dt!r}"]
     if boundary is not None:
         argv += ["--boundary", boundary]
-    if max_time is not None:
-        argv.append(f"--max-time={max_time!r}")
     code, out, err = _run_quietly(argv)
     if out == "":
         assert code in (EXIT_USAGE, EXIT_QUALITY)
@@ -230,7 +216,7 @@ def test_mc_flags_exit_0_or_one_error_line(em, sigma, i_s, boundary, fraction, s
     assert code in (EXIT_OK, EXIT_QUALITY)
     json.loads(out, parse_constant=_reject_constant)
     assert err == ("" if code == EXIT_OK else
-                   "censoring above 0.1%: estimates unreliable, raise --max-time\n")
+                   "censoring above 0.1%: estimates unreliable\n")
 
 
 @given(em=st.floats(), sigma=st.floats(), i_s=st.floats(), cross_section=st.floats())
@@ -377,6 +363,31 @@ def test_mc_takes_no_cross_section(capsys):
         main(["mc", "--cross-section", "2"])
     assert exc.value.code == 2
     assert "--cross-section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("mc", "--max-time", "100"), "--max-time"),  # the cap is derived
+    (("sweep", "--is", "1"), "--is"),             # the grid sets the intensity
+])
+def test_removed_flags_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_every_declared_flag_is_read():
+    """Each flag a subcommand declares is read as args.<dest> by its
+    cmd_<name>, or by _grid where the command calls _grid(args)."""
+    subparsers, = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        source = inspect.getsource(getattr(cli, f"cmd_{name}"))
+        if "_grid(args)" in source:
+            source += inspect.getsource(cli._grid)
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert f"args.{action.dest}" in source, (name, action.option_strings)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64 - 310, 2 ** 64 - 1, 2 ** 64])

@@ -348,7 +348,7 @@ def test_zscore_behaviour(richardson_unit_seed7):
     dict(boundary="cube", dimension=1),  # and cube has dim 3
     dict(seed=2 ** 64),
     dict(seed=-1),
-    dict(max_time=50.0),                 # below 100 * time scale
+    dict(dt=math.nan),                   # fails every comparison
     dict(params=params_for_intensity(11.0)),  # dt above 0.05 * e_m/i_s
 ])
 def test_config_validation(kwargs):
@@ -358,11 +358,24 @@ def test_config_validation(kwargs):
         MCConfig(**base)
 
 
-@pytest.mark.parametrize("max_time", [math.inf, math.nan, 1e308])
-def test_config_rejects_max_time_without_finite_step_cap(max_time):
-    # 1e308 is finite, but its step cap at dt/2 overflows
+@pytest.mark.parametrize("params, dt", [
+    (DetectorParams(e_m=1e153, sigma=0.1), 1e-3),  # 100 e_m**2/sigma**2 overflows
+    (UNIT, 1e-323),                                # the cap over dt/2 overflows
+    (params_for_intensity(0.0), 5e-324),           # dt/2 underflows to 0
+], ids=["cap-overflows", "step-count-overflows", "half-step-underflows"])
+def test_config_rejects_parameters_without_finite_step_cap(params, dt):
+    with pytest.raises(ValueError, match=r"dt=.* time scale e_m\*\*2/sigma\*\*2="):
+        MCConfig(params=params, dt=dt, n_paths=100, seed=1)
+
+
+def test_config_derives_max_time():
+    # no cap longer than the derived one could change a result
+    with pytest.raises(TypeError, match="max_time"):
+        MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, max_time=200.0)
+    cfg = MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1)
+    assert replace(cfg, params=DetectorParams(e_m=2.0, sigma=1.0)).max_time == 400.0
     with pytest.raises(ValueError, match="max_time"):
-        MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, max_time=max_time)
+        replace(cfg, max_time=200.0)
 
 
 @pytest.mark.parametrize("boundary, dimension", [("interval", 1), ("cube", 3), ("sphere", 3)])
@@ -385,6 +398,13 @@ def test_config_rejects_a_seed_that_is_not_an_integer(seed):
     # Philox would run seed 3 for 3.5 and seed 7 for "7"
     with pytest.raises(TypeError):
         MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=seed)
+
+
+@pytest.mark.parametrize("n_paths", [1000.0, "1000"])
+def test_config_rejects_a_path_count_that_is_not_an_integer(n_paths):
+    # a float would pass the range check and fail only in the first walk
+    with pytest.raises(TypeError):
+        MCConfig(params=UNIT, dt=5e-3, n_paths=n_paths, seed=1)
 
 
 def test_numpy_integer_seed_gives_the_same_ensemble():
@@ -410,6 +430,10 @@ def test_event_stream_validation():
         EventStream(event_times=(0.5, 1.5), horizon=1.0)
     with pytest.raises(ValueError):
         EventStream(event_times=(-0.1,), horizon=1.0)
+    # a nan fails every comparison, so it must not pass as ordered
+    for times in ((math.nan,), (0.5, math.nan, 0.7)):
+        with pytest.raises(ValueError, match="finite"):
+            EventStream(event_times=times, horizon=1.0)
     with pytest.raises(ValueError):
         EventStream(event_times=(), horizon=0.0)
     for horizon in (math.inf, math.nan):
