@@ -138,7 +138,7 @@ def build_rate_curve(e_m: float, sigma: float, cross_section: float,
         ))
     metadata = {
         "e_m": e_m, "sigma": sigma, "cross_section": cross_section,
-        "n_images": ctrl.n_images, "kl_max": ctrl.kl_max,
+        "n_images": analytic.N_IMAGES, "kl_max": ctrl.kl_max,
         "abs_tol": ABS_TOL, "rel_tol": REL_TOL,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

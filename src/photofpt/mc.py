@@ -47,15 +47,17 @@ BETA = 0.5825971579390107
 # Lockstep blocks of _BLOCK paths. A path of about mu steps, cut into chunks
 # of k steps, pays its draw call and its share of the block's numpy calls
 # mu/k times and draws about k/2 steps past its exit; k = sqrt(2*c*mu) with
-# c = _CHUNK_COST/dim steps minimises the sum. mu is the exit-time scale at
-# the smallest dt: the smaller of e_m**2/(dim*sigma**2), the driftless mean
-# exit from the inscribed ball, and the drift time e_m/i_s. A block's chunk
-# holds at most _BLOCK_NORMALS normals, to bound memory. No other clamp is
-# needed: MCConfig's dt bounds give mu >= 20, so k >= 21, and step caps of
-# at least 100/0.01 = 1e4, above the memory bound of at most 512 steps.
+# c = _CHUNK_COST/dim steps minimises the sum. mu is MCConfig.exit_time over
+# the smallest dt, the exit time being the smaller of e_m**2/(dim*sigma**2),
+# the driftless mean exit from the inscribed ball, and the drift time e_m/i_s.
+# A block's chunk holds at most _BLOCK_NORMALS normals, to bound memory. No
+# other clamp is needed: MCConfig's dt bounds give 20 <= mu <= _MAX_EXIT_STEPS
+# (the upper bound caps a path's work at a tiny dt), so k >= 21, and step
+# caps of at least 100/0.01 = 1e4, above the memory bound of at most 512 steps.
 _BLOCK = 128
 _CHUNK_COST = 32
 _BLOCK_NORMALS = 2 ** 16
+_MAX_EXIT_STEPS = 1e6
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,20 @@ class MCConfig:
         if not (0.5 * self.dt > 0 and math.isfinite(self.max_time / (0.5 * self.dt))):
             raise ValueError(f"dt={self.dt:g} and time scale e_m**2/sigma**2={ts:g} give "
                              "no finite step cap 100*time_scale/(dt/2)")
+        if self.exit_time / (0.5 * self.dt) > _MAX_EXIT_STEPS:
+            raise ValueError(f"dt={self.dt:g} too fine; need dt >= "
+                             f"{2.0 * self.exit_time / _MAX_EXIT_STEPS:g}, at most "
+                             f"{_MAX_EXIT_STEPS:g} steps of dt/2 per exit time "
+                             "min(e_m**2/(dim*sigma**2), e_m/i_s)")
 
     def steps_cap(self, dt: float) -> int:
         return int(math.ceil(self.max_time / dt))
+
+    @property
+    def exit_time(self) -> float:
+        """The exit-time scale min(e_m**2/(dim*sigma**2), e_m/i_s)."""
+        p = self.params
+        return min(p.time_scale / self.dimension, p.e_m / p.i_s if p.i_s > 0 else math.inf)
 
 
 @dataclass(frozen=True)
@@ -204,7 +217,7 @@ def _walks(config: MCConfig, dts: tuple[float, ...], boundaries: tuple[str, ...]
     sigs = [p.sigma * math.sqrt(dt) for dt in dts]
     legs = [(s, p.i_s * dt, config.steps_cap(dt), p.e_m - BETA * s) for dt, s in zip(dts, sigs)]
     longest = max(leg[2] for leg in legs)
-    mu = min(p.time_scale / dim, p.e_m / p.i_s if p.i_s > 0 else math.inf) / min(dts)
+    mu = config.exit_time / min(dts)
     chunk = min(math.ceil(math.sqrt(2.0 * _CHUNK_COST / dim * mu)),
                 _BLOCK_NORMALS // (_BLOCK * dim))
     spheres = [b == "sphere" for b in boundaries]

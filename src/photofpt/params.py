@@ -161,22 +161,19 @@ def _tanh_sinh(f, hi: float) -> float:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation orders of the series.
+    """Truncation order of the cube's double series.
 
-    n_images : int
-        Image-sum truncation; shells n = 0, +-1, ..., +-n_images are kept.
     kl_max : int
-        Per-axis truncation of the (k, l) double series and of the
-        spectral eigenfunction series.
+        Per-axis truncation of the (k, l) double series F. The image sum
+        and the spectral series have fixed lengths, analytic.N_IMAGES and
+        analytic.N_SPECTRAL.
     """
 
-    n_images: int = 30
     kl_max: int = 60
 
     def __post_init__(self):
-        for name in ("n_images", "kl_max"):
-            if operator.index(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if operator.index(self.kl_max) < 1:
+            raise ValueError(f"kl_max must be >= 1, got {self.kl_max}")
 
 
 @dataclass(frozen=True)

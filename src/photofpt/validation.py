@@ -19,6 +19,7 @@ call, and scipy.integrate loads nowhere.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -71,19 +72,21 @@ def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
     sum_k (S D 1)_k S_kc exp(-lam_k t): one transform (_dst1, a numpy real
     FFT), whatever t_target is, and no scipy.
 
-    nx must be odd and at least 3, so that 0 is a node, and t_target finite
-    and positive. rho is real only while |drift| dx < sigma^2, and the sum of
-    rho^j over the grid must stay inside the float range; at large drift and
-    small t the terms cancel, and where their rounding, eps sum |terms|,
-    exceeds tolerance_for(survival) the value cannot be trusted. A
-    ValueError is raised in each of these cases. For |drift| e_m/sigma^2 <= 3
-    at t_target = 0.5 e_m^2/sigma^2 it agrees with the image sum to 1e-7.
+    nx must be an odd integer (TypeError otherwise) and at least 3, so that
+    0 is a node, and t_target finite and positive. rho is real only while
+    |drift| dx < sigma^2, and the sum of rho^j over the grid must stay inside
+    the float range; at large drift and small t the terms cancel, and where
+    their rounding, eps sum |terms|, exceeds tolerance_for(survival) the
+    value cannot be trusted. A ValueError is raised in each of these cases.
+    For |drift| e_m/sigma^2 <= 3 at t_target = 0.5 e_m^2/sigma^2 it agrees
+    with the image sum to 1e-7.
     """
     if not (math.isfinite(t_target) and t_target > 0.0):
         raise ValueError(f"t_target must be finite and positive, got {t_target}")
     if not math.isfinite(drift):
         raise ValueError(f"drift must be finite, got {drift}")
-    if nx < 3 or nx % 2 == 0:
+    # a float nx would build a grid whose spacing no node count gives
+    if operator.index(nx) < 3 or nx % 2 == 0:
         raise ValueError(f"nx must be odd and at least 3, so that 0 is a node, got {nx}")
     dx = 2.0 * params.e_m / (nx - 1)
     al = params.sigma ** 2 / (2.0 * dx * dx)
@@ -158,8 +161,7 @@ def reference_mean(params: DetectorParams, boundary: str) -> float | None:
     return None if params.i_s else radial_mean_exit_time(params.e_m, params.sigma)
 
 
-def mean_fpt_quadrature(params: DetectorParams, ctrl: SeriesControl | None,
-                        dimension: int) -> float:
+def mean_fpt_quadrature(params: DetectorParams, ctrl: None, dimension: int) -> float:
     """Mean first-passage time as the integral of the survival curve,
     <t> = int_0^inf S(t) dt, with S the image-sum survival of the interval
     (dimension 1) or of the cube (dimension 3).
@@ -171,14 +173,17 @@ def mean_fpt_quadrature(params: DetectorParams, ctrl: SeriesControl | None,
     halvings.
     A strong drift's survival falls at about e_m/i_s, so a bracket from
     e_m^2/sigma^2 would leave it to a sliver the rule cannot resolve
-    (from x = 1e5).
+    (from x = 1e5). ctrl must be None (TypeError otherwise): the image sum's
+    truncation is fixed, and the slot only keeps dimension third by position.
     """
+    if ctrl is not None:
+        raise TypeError(f"ctrl must be None, as the image sum's truncation is fixed; got {ctrl!r}")
     if dimension == 1:
         def surv(t):
-            return analytic.axis_survival_image(t, params.i_s, params, ctrl)
+            return analytic.axis_survival_image(t, params.i_s, params)
     elif dimension == 3:
         def surv(t):
-            return analytic.survival_3d(t, params, ctrl)
+            return analytic.survival_3d(t, params)
     else:
         raise ValueError(f"dimension must be 1 or 3, got {dimension}")
     hi = params.time_scale

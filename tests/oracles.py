@@ -256,18 +256,17 @@ def radial_fd_banded(e_m: float, sigma: float, nr: int) -> float:
 
 
 def image_sum_two_bounds(ts: np.ndarray, drift: float, params,
-                         ctrl: SeriesControl | None = None) -> np.ndarray:
+                         n_images: int = 30) -> np.ndarray:
     """The image-sum survival of one axis on an array of finite positive
     times, as the package evaluated it with two log Phi bounds per image,
     truncation guards and clip included: the upper bound (c + e_m - drift t)
     and the lower bound (c - e_m - drift t) over sigma sqrt(t) of each image
     centre c = 2 e_m n."""
-    ctrl = ctrl or SeriesControl()
     drift = abs(drift)
     a = params.e_m
     sig2 = params.sigma ** 2
     root_t = params.sigma * np.sqrt(ts)[:, None]
-    n = np.arange(-ctrl.n_images, ctrl.n_images + 1)
+    n = np.arange(-n_images, n_images + 1)
     centers = 2.0 * a * n
     with np.errstate(over="ignore", invalid="ignore"):
         shift = drift * ts[:, None]
@@ -279,15 +278,14 @@ def image_sum_two_bounds(ts: np.ndarray, drift: float, params,
     value = signed.sum(axis=-1)
     mags = np.abs(terms[:, [0, 1, -2, -1]])
     tail = mags[:, 3] + mags[:, 0]
-    if ctrl.n_images >= 2:
-        growing = (tail > mags[:, 2] + mags[:, 1]) & (tail > ABS_TOL)
-        if growing.any():
-            raise TruncationError(f"image shells still growing at n_images={ctrl.n_images} "
-                                  f"(t={ts[growing][0]}, drift={drift})")
+    growing = (tail > mags[:, 2] + mags[:, 1]) & (tail > ABS_TOL)
+    if growing.any():
+        raise TruncationError(f"image shells still growing at n_images={n_images} "
+                              f"(t={ts[growing][0]}, drift={drift})")
     over = tail > tolerance_for(value)
     if over.any():
         raise TruncationError(f"image tail {tail[over][0]:.3e} exceeds tolerance at "
-                              f"n_images={ctrl.n_images} (t={ts[over][0]})")
+                              f"n_images={n_images} (t={ts[over][0]})")
     finite = np.isfinite(value)
     if not finite.all():
         raise ValueError(f"the image sum at drift {drift:g} is not finite at t = {ts[~finite][0]}")

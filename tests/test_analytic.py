@@ -166,6 +166,13 @@ def test_pde_solver_rejects_bad_input(t, drift, nx, match):
         pde_survival_1d(t, drift, UNIT, nx=nx)
 
 
+@pytest.mark.parametrize("nx", [101.5, "101"])
+def test_pde_solver_rejects_a_grid_size_that_is_not_an_integer(nx):
+    # nx = 101.5 gave 0.687122 at t = 0.5, where nx = 101 gives 0.685419
+    with pytest.raises(TypeError):
+        pde_survival_1d(0.5, 0.0, UNIT, nx=nx)
+
+
 @pytest.mark.parametrize("nx", [4])
 @pytest.mark.parametrize("e_m, sigma", [(1.0, 1.0), (3.0, 0.2)])
 def test_pde_solver_rejects_grids_coarser_than_the_warm_up(nx, e_m, sigma):
@@ -242,13 +249,15 @@ def test_survival_decreasing_and_bounded():
 
 
 def test_image_truncation_guard():
-    with pytest.raises(TruncationError):
-        axis_survival_image(10.0, 0.0, UNIT, SeriesControl(n_images=1))
+    # past t of about 69 the driftless tail outgrows the 30 shells
+    with pytest.raises(TruncationError, match=r"image tail .* at n_images=30 \(t=100.0\)"):
+        axis_survival_image(100.0, 0.0, UNIT)
 
 
-def test_spectral_truncation_guard():
-    with pytest.raises(TruncationError):
-        axis_survival_spectral(0.5, UNIT, SeriesControl(kl_max=1))
+def test_spectral_truncation_guard(monkeypatch):
+    monkeypatch.setattr(analytic, "N_SPECTRAL", 1)
+    with pytest.raises(TruncationError, match="at n_terms=1 "):
+        axis_survival_spectral(0.5, UNIT)
 
 
 def test_survival_requires_positive_time():
@@ -394,14 +403,20 @@ def test_survival_3d_is_the_product_of_two_image_sums(x):
             t, p.i_s, p)
 
 
-def test_survival_3d_guards_the_driftless_factor_first():
+def test_survival_3d_guards_the_driftless_factor_first(monkeypatch):
     """Where both factors trip a guard, the driftless factor's message is
     raised, as when it was evaluated first; where only the drift axis fails,
     its message is."""
-    lit, ctrl, t = params_for_intensity(1.0), SeriesControl(n_images=1), np.array([4.0])
-    k_msg = _reprs_or_message(axis_survival_image, t, 0.0, lit, ctrl)
-    assert k_msg != _reprs_or_message(axis_survival_image, t, lit.i_s, lit, ctrl)
-    assert _reprs_or_message(survival_3d, t, lit, ctrl) == k_msg
+    lit, t = params_for_intensity(1.0), np.array([4.0])
+    with monkeypatch.context() as short:
+        # the image sum cut to shells 0 and +-1
+        edges = np.arange(-2, 2)
+        short.setattr(analytic, "_EDGES", edges)
+        short.setattr(analytic, "_SIGNS", np.where(edges[1:] % 2 == 0, 1.0, -1.0))
+        k_msg = _reprs_or_message(axis_survival_image, t, 0.0, lit)
+        assert k_msg.startswith("TruncationError")
+        assert k_msg != _reprs_or_message(axis_survival_image, t, lit.i_s, lit)
+        assert _reprs_or_message(survival_3d, t, lit) == k_msg
     huge = params_for_intensity(1.7e308)
     l_msg = _reprs_or_message(axis_survival_image, t, huge.i_s, huge)
     assert isinstance(_reprs_or_message(axis_survival_image, t, 0.0, huge), list)
@@ -410,13 +425,13 @@ def test_survival_3d_guards_the_driftless_factor_first():
 
 
 def test_image_arrays_are_cached_read_only():
-    m, sign = analytic._images(30)
+    assert analytic.N_IMAGES == 30
+    m, sign = analytic._EDGES, analytic._SIGNS
     assert m.tolist() == list(range(-31, 31))
     assert sign.tolist() == [1.0 if n % 2 == 0 else -1.0 for n in range(-30, 31)]
     for array in (m, sign):
         with pytest.raises(ValueError):
             array[0] = 0
-    assert analytic._images(30) is analytic._images(30)
 
 
 def _spectral_scalar(t: float) -> float:
@@ -659,26 +674,28 @@ def _or_none(fn, *args):
         return None
 
 
-def _series_grid() -> dict:
+def _series_grid(monkeypatch) -> dict:
     """f3_series at x = 0 and 23 log-spaced x in [1e-3, 800] and the
-    spectral survival at 17 log-spaced t in [1e-6, 30], each at kl_max 1, 2,
-    3, 7, 60 and 120; None where TruncationError is raised."""
+    spectral survival at 17 log-spaced t in [1e-6, 30], each at kl_max (the
+    spectral series' length) 1, 2, 3, 7, 60 and 120; None where
+    TruncationError is raised."""
     values = {}
     for kl in (1, 2, 3, 7, 60, 120):
         for x in np.concatenate(([0.0], np.geomspace(1e-3, 800.0, 23))):
             values["f3", kl, x] = _or_none(f3_series, float(x), SeriesControl(kl_max=kl))
-        for t in np.geomspace(1e-6, 30.0, 17):
-            values["spectral", kl, t] = _or_none(axis_survival_spectral, float(t), UNIT,
-                                                 SeriesControl(kl_max=kl))
+        with monkeypatch.context() as length:
+            length.setattr(analytic, "N_SPECTRAL", kl)
+            for t in np.geomspace(1e-6, 30.0, 17):
+                values["spectral", kl, t] = _or_none(axis_survival_spectral, float(t), UNIT)
     return values
 
 
 def test_binomial_contraction_matches_iterated_averaging(monkeypatch):
     """The one-contraction Euler sum agrees with its definition, repeated
     pairwise averaging, to summation-order round-off."""
-    got = _series_grid()
+    got = _series_grid(monkeypatch)
     monkeypatch.setattr(analytic, "_accelerated_alternating_sum", iterated_average_sum)
-    want = _series_grid()
+    want = _series_grid(monkeypatch)
     assert [v is None for v in got.values()] == [v is None for v in want.values()]
     for key, value in got.items():
         if value is None:
@@ -762,6 +779,13 @@ def test_survival_quadrature_resolves_a_strong_drift(dimension, x):
     q = mean_fpt_quadrature(params_for_intensity(x), None, dimension)
     assert q != 0.0
     assert q == pytest.approx(1.0 / x, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("ctrl", [SeriesControl(), 30])
+def test_quadrature_rejects_a_control(ctrl):
+    # the image sum's truncation is fixed; a control must not pass unread
+    with pytest.raises(TypeError, match="ctrl must be None"):
+        mean_fpt_quadrature(params_for_intensity(1.0), ctrl, 1)
 
 
 def test_tanh_sinh_raises_when_its_levels_run_out(monkeypatch):

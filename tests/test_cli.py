@@ -6,14 +6,17 @@ spawning subprocesses.
 import argparse
 import contextlib
 import csv
+import importlib
 import inspect
 import io
 import json
 import math
 import os
 import stat
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +53,17 @@ def test_rate_dark_point(capsys):
     # the excess fraction diverges at zero intensity, reported as null
     assert payload["dark_fraction_1d"] is None
     assert payload["dark_fraction_3d"] is None
+
+
+def test_installed_entry_point_runs_a_rate_query(capsys, monkeypatch):
+    """The [project.scripts] target that `pip install` wires to `photofpt`,
+    called as its console script calls it, on sys.argv."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, attr = pyproject["project"]["scripts"]["photofpt"].partition(":")
+    monkeypatch.setattr(sys, "argv", ["photofpt", "rate", "--is", "2"])
+    assert getattr(importlib.import_module(module), attr)() == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["x"] == 2.0
 
 
 def test_rate_unit_intensity(capsys):
@@ -105,6 +119,7 @@ def _one_error_line(err: str) -> bool:
     ("mc", "--em", "1e153", "--sigma", "0.1"),  # the cap 100 e_m**2/sigma**2 overflows
     ("mc", "--dt", "5e-324", "--paths", "100"),  # dt/2 underflows to 0
     ("mc", "--dt", "1e-323", "--paths", "100"),  # the cap over dt/2 overflows
+    ("mc", "--dt", "1e-9", "--paths", "100"),    # 5e8 steps of dt/2 per exit time
     ("sweep", "--em", "1e-160", "--sigma", "1e-160", "--points", "2"),  # subnormal squares
     ("sweep", "--em", "0", "--points", "3"),         # 1/e_m for the linear detector
     ("rate", "--em", "1e-150", "--sigma", "1e11",

@@ -368,6 +368,20 @@ def test_config_rejects_parameters_without_finite_step_cap(params, dt):
         MCConfig(params=params, dt=dt, n_paths=100, seed=1)
 
 
+@pytest.mark.parametrize("params, boundary, dt, shortest", [
+    (UNIT, "interval", 1e-9, 2e-6),               # 5e8 steps of dt/2 per unit time
+    (UNIT, "interval", 1.99e-6, 2e-6),
+    (UNIT, "cube", 6.6e-7, 2e-6 / 3.0),           # the exit time is 1/3 in 3D
+    (params_for_intensity(1e12), "interval", 1e-19, 2e-18),  # drift time e_m/i_s = 1e-12
+], ids=["interval-1e-9", "interval-just-below", "cube", "drift-time"])
+def test_config_bounds_the_steps_per_exit_time(params, boundary, dt, shortest):
+    """At most 1e6 steps of dt/2 per exit time min(e_m**2/(dim sigma**2),
+    e_m/i_s): 100 paths at dt = 1e-7 took 46 s, and dt = 1e-300 never ends."""
+    with pytest.raises(ValueError, match=f"too fine; need dt >= {shortest:g}"):
+        MCConfig(params=params, dt=dt, n_paths=100, seed=1, boundary=boundary)
+    MCConfig(params=params, dt=shortest, n_paths=100, seed=1, boundary=boundary)
+
+
 def test_config_derives_max_time():
     # no cap longer than the derived one could change a result
     with pytest.raises(TypeError, match="max_time"):

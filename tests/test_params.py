@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 from hypothesis import given, strategies as st
 
+from photofpt.mc import MCConfig
 from photofpt.params import (
     DEFAULT_SEED,
     AtomModel,
@@ -85,7 +86,7 @@ def test_tolerance_floor():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(n_images=0),
+    dict(kl_max=-1),
     dict(kl_max=0),
 ])
 def test_series_control_validation(kwargs):
@@ -93,16 +94,25 @@ def test_series_control_validation(kwargs):
         SeriesControl(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [dict(kl_max=60.0), dict(n_images=30.5), dict(kl_max="60")])
+@pytest.mark.parametrize("kwargs", [dict(kl_max=60.0), dict(kl_max=60.5), dict(kl_max="60")])
 def test_series_control_rejects_orders_that_are_not_integers(kwargs):
     with pytest.raises(TypeError):
         SeriesControl(**kwargs)
 
 
-def test_only_truncation_orders_are_settable():
-    # the tolerances are package constants and the atom has no settings
-    assert [f.name for f in fields(SeriesControl)] == ["n_images", "kl_max"]
-    assert fields(AtomModel) == ()
+def test_settable_config_values_are_counted():
+    """The package's settable config values, the __init__ fields of its config
+    classes: a new one must change this count. The tolerances and the image
+    and spectral lengths are package constants, and the atom has no settings."""
+    settable = {cls.__name__: [f.name for f in fields(cls) if f.init]
+                for cls in (DetectorParams, SeriesControl, MCConfig, AtomModel)}
+    assert settable == {
+        "DetectorParams": ["e_m", "sigma", "i_s", "cross_section"],
+        "SeriesControl": ["kl_max"],
+        "MCConfig": ["params", "dt", "n_paths", "seed", "dimension", "boundary"],
+        "AtomModel": [],
+    }
+    assert sum(map(len, settable.values())) == 11
     assert AtomModel() == AtomModel()
 
 
