@@ -81,11 +81,10 @@ class MCConfig:
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {tuple(BOUNDARIES)}, got {self.boundary!r}")
         dimension = BOUNDARIES[self.boundary]
-        if self.dimension is None:
-            object.__setattr__(self, "dimension", dimension)
-        if self.dimension != dimension:
+        if self.dimension not in (None, dimension):
             raise ValueError(f"the {self.boundary} boundary has dimension {dimension}, "
                              f"got {self.dimension}")
+        object.__setattr__(self, "dimension", dimension)
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.dt > 0.01 * ts * (1.0 + 1e-12):

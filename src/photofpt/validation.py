@@ -7,12 +7,12 @@ mathematics, the check fails and says what was found instead.
 
 The module also houses the independent oracles used by those checks: a
 central-difference solver for the 1D absorbing-boundary density from a point
-start (solved exactly in time in the sine eigenbasis of its matrix, at a
-cost that does not grow with the target time, and valid while |drift| dx <
-sigma^2), a radial finite-difference solver for the driftless sphere exit
-time (its tridiagonal system solved in closed form), and direct quadrature
-of survival curves for the mean/survival identity by the tanh-sinh rule of
-params, the rule behind field's two integrals too. All three run on numpy
+start (solved exactly in time as a sum over the odd sine modes of its
+matrix, at a cost that does not grow with the target time, and valid while
+|drift| dx < sigma^2), a radial finite-difference solver for the driftless
+sphere exit time (its tridiagonal system solved in closed form), and direct
+quadrature of survival curves for the mean/survival identity by the
+tanh-sinh rule of params, the rule behind field's two integrals too. All three run on numpy
 alone; the quadrature's image-sum survival loads scipy.special on its first
 call, and scipy.integrate loads nowhere.
 """
@@ -41,19 +41,8 @@ from .params import (
 # independent oracles
 
 PDE_NX = 4001  # grid points of pde_survival_1d, ends included
-# exp of a symmetrising exponent past this overflows
+# exp of an exponent past this overflows
 _LOG_SCALE_MAX = math.log(np.finfo(float).max)
-
-
-def _dst1(v: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I of v, sqrt(2/(m+1)) sum_n v_n sin(pi (k+1)(n+1)/(m+1)),
-    from the real FFT of the odd extension [0, v, 0, -v reversed]: its
-    imaginary parts 1..m are -1/2 the unnormalised transform."""
-    m = v.size
-    ext = np.zeros(2 * (m + 1))
-    ext[1:m + 1] = v
-    ext[m + 2:] = -v[::-1]
-    return np.fft.rfft(ext).imag[1:m + 1] * (-1.0 / math.sqrt(2 * (m + 1)))
 
 
 def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
@@ -63,18 +52,21 @@ def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
     +-e_m, started from a point mass on the centre node and solved exactly
     in time.
 
-    On the nx - 2 interior nodes the density obeys df/dt = -M f with
+    On the m = nx - 2 interior nodes the density obeys df/dt = -M f with
     M = tridiag(-(al+be), 2 al, -(al-be)), al = sigma^2/(2 dx^2),
-    be = drift/(2 dx), and the survival is 1^T exp(-M t) e_c. D = diag(rho^j)
-    with rho = sqrt((al+be)/(al-be)), scaled to 1 on the centre node, makes
-    D^-1 M D symmetric Toeplitz, which the orthonormal DST-I S diagonalises
-    with eigenvalues lam_k, so the survival is
-    sum_k (S D 1)_k S_kc exp(-lam_k t): one transform (_dst1, a numpy real
-    FFT), whatever t_target is, and no scipy.
+    be = drift/(2 dx), and the survival is 1^T exp(-M t) e_c. With
+    rho = sqrt((al+be)/(al-be)) and h = (m+1)/2, diag(rho^(j-h)) makes M
+    symmetric Toeplitz, with sine modes sin(j theta_k), theta_k = k pi/(m+1),
+    and eigenvalues lam_k = (al-be)(1 - 2 rho cos theta_k + rho^2). Even
+    modes vanish on the centre node, and for odd k the start vector sums to
+    (rho^(1-h) + rho^(h+1)) sin theta_k/(1 - 2 rho cos theta_k + rho^2), so
+    the survival is (2/(m+1)) (al-be) (rho^(1-h) + rho^(h+1))
+    sum_{k odd} (-1)^((k-1)/2) sin theta_k exp(-lam_k t)/lam_k: (m+1)/2
+    terms whatever t_target is, on numpy alone.
 
     nx must be an odd integer (TypeError otherwise) and at least 3, so that
     0 is a node, and t_target finite and positive. rho is real only while
-    |drift| dx < sigma^2, and the sum of rho^j over the grid must stay inside
+    |drift| dx < sigma^2, and rho^(h+1), lam_1 and 1/lam_1 must stay inside
     the float range; at large drift and small t the terms cancel, and where
     their rounding, eps sum |terms|, exceeds tolerance_for(survival) the
     value cannot be trusted. A ValueError is raised in each of these cases.
@@ -95,22 +87,23 @@ def pde_survival_1d(t_target: float, drift: float, params: DetectorParams,
         raise ValueError(f"|drift| dx = {abs(drift) * dx:g} must be below sigma^2 = "
                          f"{params.sigma ** 2:g} for a real symmetrisation; raise nx")
     m = nx - 2
-    j = np.arange(1, m + 1)
-    # log rho^j relative to the centre node, so the scale spans exp(+-max); the
-    # transform sums m of them
-    log_scale = (j - 0.5 * (m + 1)) * math.atanh(be / al)
-    if abs(log_scale[0]) + math.log(2 * m) > _LOG_SCALE_MAX:
-        raise ValueError(f"|drift| = {abs(drift):g} makes rho^j span "
-                         f"exp(+-{abs(log_scale[0]):.4g}), past the float range")
-    # eigenvalues 2 al - 2 s cos(k pi/(m+1)), k = 1..m, with al - s written
+    h = 0.5 * (m + 1)
+    log_rho = math.atanh(be / al)
+    # eigenvalues 2 al - 2 s cos(theta_k) of the odd modes, with al - s written
     # as be^2/(al + s) so that nothing cancels at small k
     s = math.sqrt((al - be) * (al + be))
-    lam = 2.0 * be * be / (al + s) + 4.0 * s * np.sin(j * (0.5 * math.pi / (m + 1))) ** 2
-    # S_kc = sqrt(2/(m+1)) sin(k pi/2): 0 for even k, alternating signs for odd k
-    column = np.where(j % 2, 1.0 - 2.0 * (j // 2 % 2), 0.0) * math.sqrt(2.0 / (m + 1))
-    terms = _dst1(np.exp(log_scale)) * column * np.exp(-lam * t_target)
-    survival = float(terms.sum())
-    rounding = np.finfo(float).eps * float(np.abs(terms).sum())
+    k = np.arange(1, m + 1, 2)
+    half = k * (0.5 * math.pi / (m + 1))
+    lam = 2.0 * be * be / (al + s) + 4.0 * s * np.sin(half) ** 2
+    if (h + 1) * abs(log_rho) > _LOG_SCALE_MAX or not 1.0 / np.finfo(float).max < lam[0] < math.inf:
+        raise ValueError(f"|drift| = {abs(drift):g} makes rho^j span "
+                         f"exp(+-{(h - 1) * abs(log_rho):.4g}) and 1/lam_1 = "
+                         f"1/{lam[0]:.3g}, past the float range")
+    # sin(theta_k) exp(-lam_k t)/lam_k: |terms| without their common factor
+    size = np.sin(2.0 * half) / lam * np.exp(-lam * t_target)
+    scale = 2.0 / (m + 1) * (al - be) * (math.exp((1 - h) * log_rho) + math.exp((h + 1) * log_rho))
+    survival = scale * float(np.dot(1.0 - 2.0 * (k // 2 % 2), size))
+    rounding = scale * float(size.sum()) * np.finfo(float).eps
     if not rounding <= tolerance_for(survival):
         raise ValueError(f"at drift = {drift:g} and t = {t_target:g} the terms cancel to "
                          f"{survival:.3g} with rounding {rounding:.2g}, past tolerance")

@@ -41,7 +41,7 @@ from photofpt.params import (
     TruncationError,
     params_for_intensity,
 )
-from photofpt.validation import _dst1, mean_fpt_quadrature, pde_survival_1d, reference_mean
+from photofpt.validation import mean_fpt_quadrature, pde_survival_1d, reference_mean
 
 UNIT = DetectorParams(e_m=1.0, sigma=1.0)
 
@@ -166,6 +166,18 @@ def test_pde_solver_rejects_bad_input(t, drift, nx, match):
         pde_survival_1d(t, drift, UNIT, nx=nx)
 
 
+@pytest.mark.parametrize("e_m, sigma, nx", [(1e154, 1.0, 4001), (1.0, 1e-150, 101),
+                                         (1.5e-154, 1.0, 3)])
+def test_pde_solver_rejects_rates_past_the_float_range(e_m, sigma, nx):
+    """al^2 in s = sqrt(al^2 - be^2) underflows in the first two cases and
+    overflows in the last, so the eigenvalues came out 0 or inf and the
+    survival about 1, 1 and 0, where the grid gives 0.685, 0.685 and
+    exp(-0.5)."""
+    params = DetectorParams(e_m=e_m, sigma=sigma)
+    with pytest.raises(ValueError, match="float range"):
+        pde_survival_1d(0.5 * params.time_scale, 0.0, params, nx=nx)
+
+
 @pytest.mark.parametrize("nx", [101.5, "101"])
 def test_pde_solver_rejects_a_grid_size_that_is_not_an_integer(nx):
     # nx = 101.5 gave 0.687122 at t = 0.5, where nx = 101 gives 0.685419
@@ -196,8 +208,8 @@ def test_pde_solver_coarse_odd_grids_give_a_survival(nx, e_m, sigma):
 
 
 @pytest.mark.parametrize("nx, pinned", [
-    (101, 0.68541855576465),
-    (201, 0.6854389661251175),
+    (101, 0.6854185557646502),
+    (201, 0.6854389661251173),
     (4001, 0.6854457498901146),
 ])
 def test_pde_solver_fine_grids_keep_their_values(nx, pinned):
@@ -229,16 +241,6 @@ def test_pde_solver_returns_a_survival_or_raises(t, drift, nx):
 def test_pde_solver_long_time_survival_stays_positive(drift):
     # 1.2e-56 at drift 2: tiny, but its rounding is tinier, so the guard passes it
     assert 0.0 < pde_survival_1d(40.0, drift, UNIT) < 1e-20
-
-
-def test_numpy_dst1_matches_scipy():
-    from scipy.fft import dst
-
-    rng = np.random.default_rng(5)
-    for m in range(1, 601):
-        v = rng.standard_normal(m)
-        ref = dst(v, type=1, norm="ortho")
-        assert np.max(np.abs(_dst1(v) - ref)) <= 1e-15 * np.max(np.abs(ref)), m
 
 
 def test_survival_decreasing_and_bounded():
@@ -786,6 +788,12 @@ def test_quadrature_rejects_a_control(ctrl):
     # the image sum's truncation is fixed; a control must not pass unread
     with pytest.raises(TypeError, match="ctrl must be None"):
         mean_fpt_quadrature(params_for_intensity(1.0), ctrl, 1)
+
+
+@pytest.mark.parametrize("dimension", [0, 2])
+def test_quadrature_rejects_a_dimension_without_a_survival(dimension):
+    with pytest.raises(ValueError, match="dimension must be 1 or 3"):
+        mean_fpt_quadrature(params_for_intensity(1.0), None, dimension)
 
 
 def test_tanh_sinh_raises_when_its_levels_run_out(monkeypatch):

@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from photofpt import analytic, cli, field, validation
+from photofpt import analytic, cli, field, mc, validation
 from photofpt.analytic import mean_fpt_3d, rate_1d, rate_3d
-from photofpt.cli import EXIT_OK, EXIT_QUALITY, EXIT_USAGE, build_parser, main
+from photofpt.cli import EXIT_OK, EXIT_QUALITY, EXIT_USAGE, EXIT_VALIDATION, build_parser, main
 from photofpt.mc import MCConfig
 from photofpt.params import (DetectorParams, QuadratureError, TruncationError,
                              params_for_intensity)
@@ -315,6 +315,21 @@ def test_validate_out_serialises_numpy_verdicts(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_validate_prints_each_check_as_it_finishes(monkeypatch, capsys):
+    passing = _report().checks[0]
+    failing = _report(cid=3, name="dark constants", passed=False).checks[0]
+
+    def run_all(seed, progress):
+        for result in (passing, failing):
+            progress(result)
+        return ValidationReport(checks=[passing, failing], seed=seed)
+
+    monkeypatch.setattr(validation, "run_all", run_all)
+    code, out, _ = run_cli(capsys, "validate")
+    assert code == EXIT_VALIDATION
+    assert out.splitlines() == [passing.line(), failing.line(), "1/2 checks passed, 1 FAILED"]
+
+
 def test_out_file_is_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
     path = tmp_path / "report.json"
     path.write_text("previous\n")
@@ -573,6 +588,18 @@ def test_mc_json_deterministic(capsys):
     assert abs(payload["z_extrapolated"]) < 4.0
     code2, out2, _ = run_cli(capsys, *args)
     assert json.loads(out2) == payload
+
+
+def test_mc_censoring_exits_3(monkeypatch, capsys):
+    """At the derived cap a path survives with probability about 3e-54, so a
+    cap of 3 e_m^2/sigma^2 stands in: 3.6% of the coarse and 3.1% of the fine
+    paths are censored."""
+    monkeypatch.setattr(mc.MCConfig, "steps_cap", lambda self, dt: math.ceil(3.0 / dt))
+    code, out, err = run_cli(capsys, "mc", "--paths", "1000", "--seed", "5")
+    assert code == EXIT_QUALITY
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["coarse"]["n_censored"] == 36 and payload["fine"]["n_censored"] == 31
+    assert err == "censoring above 0.1%: estimates unreliable\n"
 
 
 def test_mc_sphere_uses_radial_reference(capsys):

@@ -392,12 +392,21 @@ def test_config_derives_max_time():
         replace(cfg, max_time=200.0)
 
 
-@pytest.mark.parametrize("boundary, dimension", [("interval", 1), ("cube", 3), ("sphere", 3)])
+@pytest.mark.parametrize("boundary, dimension", [
+    ("interval", 1), ("cube", 3), ("sphere", 3),
+    # equal to the boundary's dimension, but not an int: the walk's shapes
+    # failed on them inside numpy
+    ("cube", 3.0), pytest.param("sphere", np.int64(3), id="sphere-int64"), ("interval", True),
+])
 def test_config_derives_dimension_from_boundary(boundary, dimension):
     cfg = MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, boundary=boundary)
-    assert cfg.dimension == dimension
-    assert cfg == MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, boundary=boundary,
-                           dimension=BOUNDARIES[boundary])
+    assert cfg.dimension == BOUNDARIES[boundary]
+    given = MCConfig(params=UNIT, dt=5e-3, n_paths=200, seed=1, boundary=boundary,
+                     dimension=dimension)
+    assert given == cfg
+    assert type(given.dimension) is int
+    rich = simulate_fpt_richardson(given)
+    assert rich.fine.n_absorbed == 200 and math.isfinite(rich.extrapolated.mean)
 
 
 @pytest.mark.parametrize("boundary, dimension", [("sphere", 1), ("interval", 3)])

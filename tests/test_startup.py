@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the commands that read the rate curve, none of which needs scipy, an event
 # stream, and the two finite-difference oracles behind the sphere's reference
 # mean and check 8; the Monte Carlo runs must not load numpy.ma either, which
-# np.unique imports on its first call
+# np.unique imports on its first call, and nothing loads numpy.fft
 GUARD = """
 import contextlib, io, json, sys
 import photofpt
@@ -35,9 +35,10 @@ validation.radial_mean_exit_time(1.0, 1.0, nr=101)
 validation.pde_survival_1d(0.07, 1.0, params_for_intensity(1.0), nx=101)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 masked = "numpy.ma" in sys.modules
+fft = "numpy.fft" in sys.modules
 field.g_tau(1.0)
 print(json.dumps({"codes": codes, "events": stream.count, "loaded": loaded, "masked": masked,
-                  "after_g_tau": "scipy.special" in sys.modules}))
+                  "fft": fft, "after_g_tau": "scipy.special" in sys.modules}))
 """
 
 
@@ -70,6 +71,7 @@ def test_rate_sweep_and_mc_load_no_scipy():
     assert result["events"] > 0
     assert result["loaded"] == []
     assert not result["masked"]
+    assert not result["fft"]
     # the exponential integrals load on g_tau's first call
     assert result["after_g_tau"]
 
