@@ -229,20 +229,103 @@ def survival_3d(t, params: DetectorParams):
 def _lattice(kl_max: int) -> tuple[np.ndarray, ...]:
     """F's read-only x-free arrays: c = pi^2 S/4 once per distinct S, ascending,
     ranked without a sort as S_kl = 8 m + 2, m = k(k+1)/2 + l(l+1)/2; the index
-    of each (k, l) into c; the denominators S_kl (2k+1)(2l+1) signed by the
-    parity of l, as g/(-d) is -(g/d) exactly; the parity mask of k."""
+    of each (k, l) into c; R_l/d_kl, with d_kl = S_kl (2k+1)(2l+1) signed by
+    the parity of l; and the maps of G onto the value and the outer residual,
+    Cv_s the sum of e_k V_k V_l/d_kl over the (k, l) with S_kl = s, e_k the
+    parity sign of k, and Co_s that with R_k for V_k.
+
+    The Euler sum of a series T is T.V and its residual |T.R|: a = s[:-1].w
+    weights T_i by Wa_i = sum_{j>=i} w_j (Wa_{n-1} = 0) and b = s[1:].w by
+    Wb_i = Wa_{i-1} (Wb_0 = 1), so V = (Wa + Wb)/2 and R = (Wb - Wa)/2."""
+    v = r = np.ones(1)  # one term is its own value and tail
+    if kl_max > 1:
+        wa = np.append(np.cumsum(_euler_weights(kl_max)[::-1])[::-1], 0.0)
+        wb = np.append(1.0, wa[:-1])
+        v, r = 0.5 * (wa + wb), 0.5 * (wb - wa)
     j = np.arange(kl_max)
     m = (j * (j + 1) // 2)[:, None] + j * (j + 1) // 2
     seen = np.zeros(m[-1, -1] + 1, dtype=bool)
     seen[m] = True
     odd = 2.0 * j + 1.0
-    den = (8.0 * m + 2.0) * odd[:, None] * odd
-    even = j % 2 == 0
-    lattice = (0.25 * math.pi ** 2 * (8.0 * np.flatnonzero(seen) + 2.0),
-               np.cumsum(seen, dtype=np.int32)[m] - 1, np.where(even, den, -den), even)
+    sign = np.where(j % 2 == 0, 1.0, -1.0)
+    den = sign * (8.0 * m + 2.0) * odd[:, None] * odd
+    index = np.cumsum(seen, dtype=np.int32)[m] - 1
+    c = 0.25 * math.pi ** 2 * (8.0 * np.flatnonzero(seen) + 2.0)
+    maps = [np.bincount(index.ravel(), (sign[:, None] * outer[:, None] * v / den).ravel(), c.size)
+            for outer in (v, r)]
+    lattice = (c, index, r / den, np.array(maps))
     for a in lattice:
         a.flags.writeable = False
     return lattice
+
+
+# at most this many doubles in any one temporary of _f3_values, half of
+# mc._BLOCK_NORMALS as a few coexist; one point's rows are more from kl_max 182
+_F3_BLOCK = 2 ** 15
+
+
+def _f3_values(xs, kl_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F at each x >= 0 of xs in units of that x's scale (see f3_series):
+    the Euler sums, their tail estimates and the scales. Every contraction
+    is a per-row numpy sum, not a BLAS product, so a point sums alike alone
+    and in any batch. Raises nothing; the caller judges each tail."""
+    c, index, row_map, maps = _lattice(kl_max)
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    values, tails, scales = (np.empty(xs.size) for _ in range(3))
+    step = max(1, _F3_BLOCK // max(index.size, maps.size))
+    for start in range(0, xs.size, step):
+        part = slice(start, start + step)
+        x = xs[part]
+        # once x*x overflows, y = x and G_kl = c/(2x) to double precision; near
+        # x = 1e308 that is subnormal, so the series sums x G_kl = c/2 instead,
+        # and those rows are evaluated at x = 0 and replaced below
+        xl = x.tolist()
+        huge = [v * v == math.inf for v in xl]
+        # a power of two while x*x is finite, so the digits do not change
+        scale = np.array([v if h else 2.0 ** max(0, math.frexp(v)[1]) for v, h in zip(xl, huge)])
+        if any(huge):
+            x = np.where(huge, 0.0, x)
+            xl = x.tolist()
+        xc = x[:, None]
+        # past c = (x + 40)^2 - x^2, y - x = c/(x + y) > 40 makes G exactly 1.0
+        k = int(np.searchsorted(c, 80.0 * max(xl) + 1600.0, side="right"))
+        y = np.sqrt(xc * xc + c[:k])
+        log1p_x = np.log1p(np.exp(-2.0 * xc))
+        # y ascends with c and with x. Past a row's cut log1p(e^-2y) < ulp(log1p_x)/8
+        # cannot change log1p_x (8, not 4, allows for rounding), and past y = 373 numpy's
+        # exp is slow; so it is evaluated only where the least x's y is within the
+        # largest x's cut, and left 0 elsewhere
+        arg = np.zeros_like(y)
+        cut = min(373.0, 0.5 * (math.log(8.0) - math.log(math.ulp(float(log1p_x.min())))))
+        n = int(np.searchsorted(y[int(x.argmin())], cut, side="right"))
+        arg[:, :n] = np.log1p(np.exp(-2.0 * y[:, :n]))
+        # in place, so that the temporaries stay within the block
+        np.subtract(log1p_x, arg, out=arg)
+        y += xc
+        arg -= np.divide(c[:k], y, out=y)
+        g = np.empty((x.size, c.size))
+        g[:] = scale[:, None]
+        g[:, :k] *= -np.expm1(arg, out=arg)
+        if any(huge):
+            g[huge] = 0.5 * c
+        # the value and the outer residual, then the residuals of the rows
+        values[part], outer = (g[:, None] * maps).sum(axis=-1).T
+        rows = np.einsum("ckl,kl->ck", g.take(index, axis=-1), row_map)
+        tails[part] = np.abs(outer) + np.abs(rows).max(axis=-1)
+        scales[part] = scale
+    return values, tails, scales
+
+
+def _f3_checked(xs, kl_max: int):
+    """Yield F at each x of xs in turn from one _f3_values call, or raise
+    the TruncationError of the first whose tail exceeds tolerance."""
+    values, tails, scales = _f3_values(xs, kl_max)
+    over = tails > tolerance_for(values)
+    for value, tail, scale, bad in zip(*(a.tolist() for a in (values, tails, scales, over))):
+        if bad:
+            raise TruncationError(f"double-series tail estimate {tail / scale:.3e} exceeds "
+                                  f"tolerance at kl_max={kl_max}")
+        yield value / scale
 
 
 def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
@@ -257,48 +340,29 @@ def f3_series(x: float, ctrl: SeriesControl | None = None) -> float:
     c = pi^2 S_kl / 4: large x and large indices cannot overflow, and the
     small gap y - x is never found by subtracting y from x, which would lose
     it to rounding once x^2 dwarfs c. Rows are summed over l with Euler
-    acceleration, then the alternating row sums are accelerated over k; the
-    acceleration residual is the reported tail estimate. It is judged on the
-    sum times about x (a power of two while x*x is finite), as F ~ 0.76/x.
+    acceleration, then the alternating row sums are accelerated over k. Both
+    transforms are linear, so the sum is G times a cached x-free vector per
+    distinct S; the acceleration residuals are the reported tail estimate.
+    It is judged on the sum times about x (a power of two while x*x is
+    finite), as F ~ 0.76/x.
     """
     ctrl = ctrl or SeriesControl()
     if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    c, index, den, even = _lattice(ctrl.kl_max)
-    if x * x < math.inf:
-        scale = 2.0 ** max(0, math.frexp(x)[1])  # exact, so the digits do not change
-        # past c = (x + 40)^2 - x^2, y - x = c/(x + y) > 40 makes G exactly 1.0
-        k = int(np.searchsorted(c, 80.0 * x + 1600.0, side="right"))
-        y = np.sqrt(x * x + c[:k])
-        log1p_x = np.log1p(np.exp(-2.0 * x))
-        # y ascends with c. Past the cut log1p(e^-2y) < ulp(log1p_x)/8 cannot change
-        # log1p_x (8, not 4, allows for rounding); past y = 373 numpy's exp is slow
-        cut = min(373.0, 0.5 * (math.log(8.0) - math.log(math.ulp(log1p_x))))
-        n = int(np.searchsorted(y, cut, side="right"))
-        log1p_e = np.concatenate((np.log1p(np.exp(-2.0 * y[:n])), np.zeros(k - n)))
-        g = np.concatenate((-np.expm1(log1p_x - log1p_e - c[:k] / (x + y)), np.ones(c.size - k)))
-        g *= scale
-    else:
-        # once x*x overflows, y = x and G_kl = c/(2x) to double precision;
-        # near x = 1e308 that is subnormal, so the series sums x G_kl = c/2
-        g = 0.5 * c
-        scale = x
-    row_val, row_res = _accelerated_alternating_sum(g.take(index) / den)
-    value, outer_res = map(float, _accelerated_alternating_sum(np.where(even, row_val, -row_val)))
-    tail = outer_res + float(row_res.max())
-    if tail > tolerance_for(value):
-        raise TruncationError(f"double-series tail estimate {tail / scale:.3e} exceeds "
-                              f"tolerance at kl_max={ctrl.kl_max}")
-    return value / scale
+    [f] = _f3_checked([x], ctrl.kl_max)
+    return f
+
+
+def _mean_3d(params: DetectorParams, f: float) -> float:
+    # time_scale last: (128/pi^4)*time_scale overflows where the mean is finite
+    return _normal_mean(params.time_scale * ((128.0 / math.pi ** 4) * f))
 
 
 def mean_fpt_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> float:
     """Mean first-passage time to the cube surface:
     (128/pi^4) (e_m^2/sigma^2) F(i_s e_m/sigma^2). Raises ValueError where it
     is below the smallest normal double or overflows."""
-    x = dimensionless_intensity(params)
-    # time_scale last: (128/pi^4)*time_scale overflows where the mean is finite
-    return _normal_mean(params.time_scale * ((128.0 / math.pi ** 4) * f3_series(x, ctrl)))
+    return _mean_3d(params, f3_series(dimensionless_intensity(params), ctrl))
 
 
 def rate_3d(params: DetectorParams) -> float:
@@ -326,8 +390,19 @@ def rate_point(params: DetectorParams, ctrl: SeriesControl | None = None) -> dic
     model's dark excess rate*e_m/i_s - 1 at unit cross section, None at
     x = 0 where it diverges. The cube values come from one evaluation of F.
     """
+    return _record(params, mean_fpt_3d(params, ctrl))
+
+
+def _rate_points(grid, ctrl: SeriesControl):
+    """Yield rate_point's record at each DetectorParams of grid in turn, F
+    evaluated at all of them in one call; a point fails as it does alone."""
+    fs = _f3_checked([dimensionless_intensity(p) for p in grid], ctrl.kl_max)
+    for params, f in zip(grid, fs):
+        yield _record(params, _mean_3d(params, f))
+
+
+def _record(params: DetectorParams, mean_3d: float) -> dict:
     x = dimensionless_intensity(params)
-    mean_3d = mean_fpt_3d(params, ctrl)
     rate = _rate(params.cross_section, mean_3d)
     excess_3d = None
     if x > 0:

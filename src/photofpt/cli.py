@@ -124,10 +124,17 @@ def build_rate_curve(e_m: float, sigma: float, cross_section: float,
     # the cross section multiplies last: cross_section*i_s can overflow
     # where the rate itself is finite
     slope = 1.0 / e_m
+    grid, failure = [], None
+    try:
+        for x in sorted(float(v) for v in xs):
+            grid.append(params_for_intensity(x, e_m, sigma, cross_section))
+    except ValueError as exc:
+        failure = exc
+    # F at every point in one call, at each point's own x (the round trip
+    # through i_s can move x by an ulp); the first point to fail, in
+    # ascending x, raises what its lone record would
     rows = []
-    for x in sorted(float(v) for v in xs):
-        params = params_for_intensity(x, e_m, sigma, cross_section)
-        point = analytic.rate_point(params, ctrl)
+    for params, point in zip(grid, analytic._rate_points(grid, ctrl)):
         rows.append((
             params.i_s,
             point["rate_1d"],
@@ -136,6 +143,8 @@ def build_rate_curve(e_m: float, sigma: float, cross_section: float,
             *(math.nan if point[k] is None else point[k]
               for k in ("dark_fraction_1d", "dark_fraction_3d")),
         ))
+    if failure is not None:
+        raise failure
     metadata = {
         "e_m": e_m, "sigma": sigma, "cross_section": cross_section,
         "n_images": analytic.N_IMAGES, "kl_max": ctrl.kl_max,

@@ -159,11 +159,11 @@ def mean_fpt_quadrature(params: DetectorParams, ctrl: None, dimension: int) -> f
     <t> = int_0^inf S(t) dt, with S the image-sum survival of the interval
     (dimension 1) or of the cube (dimension 3).
 
-    The curve is cut at hi, which starts at min(e_m^2/sigma^2, e_m/i_s) and
-    doubles while S(hi) > 1e-13, and [0, hi] is integrated by the tanh-sinh
-    rule of params._tanh_sinh, each level one array call of the survival; it
-    raises QuadratureError if its levels have not agreed after _TS_LEVELS
-    halvings.
+    The curve is cut at hi, the first of min(e_m^2/sigma^2, e_m/i_s) and
+    its doublings with S(hi) <= 1e-13, all probed in one array call, and
+    [0, hi] is integrated by the tanh-sinh rule of params._tanh_sinh, each
+    level one array call of the survival; it raises QuadratureError if its
+    levels have not agreed after _TS_LEVELS halvings.
     A strong drift's survival falls at about e_m/i_s, so a bracket from
     e_m^2/sigma^2 would leave it to a sliver the rule cannot resolve
     (from x = 1e5). ctrl must be None (TypeError otherwise): the image sum's
@@ -182,9 +182,15 @@ def mean_fpt_quadrature(params: DetectorParams, ctrl: None, dimension: int) -> f
     hi = params.time_scale
     if params.i_s:
         hi = min(hi, params.e_m / params.i_s)
-    while surv(hi) > 1e-13:
-        hi *= 2.0
-    return _tanh_sinh(surv, hi)
+    # By Anderson's inequality a drift cannot raise the survival in the symmetric
+    # convex tube |E_i| < e_m, and the driftless one is below (4/pi)^d e^(-d pi^2 t/8),
+    # t in units of e_m^2/sigma^2: under 1e-13 from t = 25. So the doublings up to
+    # there hold the first with S <= 1e-13 and stop short of t = 50, where the image
+    # sum, which raises from t = 69, still meets its guards.
+    probes = [hi]
+    while probes[-1] < 25.0 * params.time_scale:
+        probes.append(2.0 * probes[-1])
+    return _tanh_sinh(surv, probes[int(np.argmax(surv(np.array(probes)) <= 1e-13))])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ exceptions, kept so that a faster form can be pinned to them bit for bit:
 the scalar image sum is the package's survival as it was evaluated one time
 at a time, image_sum_two_bounds is the array survival as it was evaluated
 with two log Phi bounds per image, f3_full_lattice is the double series
-as it was evaluated on every (k, l) entry of the lattice, and
+as it was evaluated on every (k, l) entry of the lattice (the pin is exact
+at kl_max <= 7 and to round-off beyond), and
 g_large_lag_loop is the large-lag expansion of g as it was summed one lag
 at a time.
 """
@@ -88,11 +89,12 @@ def f3_split(x: float, dps: int = 30) -> float:
         return float(mp.pi ** 4 / 128 - mp.pi / 4 * single - double)
 
 
-def f3_full_lattice(x: float, ctrl: SeriesControl | None = None) -> float:
+def f3_full_lattice(x: float, ctrl: SeriesControl | None = None,
+                    euler=_accelerated_alternating_sum) -> float:
     """The cube double series F(x) as f3_series evaluated it on all kl_max^2
-    entries of the (k, l) lattice, rebuilding the x-free arrays on each call:
-    the same arithmetic in the same order, so the value, or the
-    TruncationError and its message, must match f3_series exactly."""
+    entries of the (k, l) lattice, rebuilding the x-free arrays on each call,
+    before its two Euler sums became one cached linear map of G: each row
+    accelerated over l by euler, then the row sums over k."""
     ctrl = ctrl or SeriesControl()
     if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -112,8 +114,8 @@ def f3_full_lattice(x: float, ctrl: SeriesControl | None = None) -> float:
     mag = g / (s * ok * ol)
 
     even = np.arange(ctrl.kl_max) % 2 == 0
-    row_val, row_res = _accelerated_alternating_sum(np.where(even, mag, -mag))
-    value, outer_res = map(float, _accelerated_alternating_sum(np.where(even, row_val, -row_val)))
+    row_val, row_res = euler(np.where(even, mag, -mag))
+    value, outer_res = map(float, euler(np.where(even, row_val, -row_val)))
     tail = outer_res + float(row_res.max())
     if tail > tolerance_for(value):
         raise TruncationError(f"double-series tail estimate {tail / scale:.3e} exceeds "

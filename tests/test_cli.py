@@ -520,21 +520,23 @@ def test_linear_rate_column_is_the_strong_signal_limit(capsys):
 
 
 def test_one_series_evaluation_per_rate_point(monkeypatch, capsys):
+    """`rate` evaluates F once at its one point, a sweep once at all of its
+    points."""
     calls = []
-    series = analytic.f3_series
+    values = analytic._f3_values
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return series(*args, **kwargs)
-    monkeypatch.setattr(analytic, "f3_series", counted)
+    def counted(xs, kl_max):
+        calls.append(len(xs))
+        return values(xs, kl_max)
+    monkeypatch.setattr(analytic, "_f3_values", counted)
     for x in ("0", "1.5"):
         calls.clear()
         assert run_cli(capsys, "rate", "--is", x)[0] == EXIT_OK
-        assert len(calls) == 1
+        assert calls == [1]
     calls.clear()
     assert run_cli(capsys, "sweep", "--x-min", "0", "--x-max", "3", "--points", "4",
                    "--grid", "lin")[0] == EXIT_OK
-    assert len(calls) == 4
+    assert calls == [4]
 
 
 def test_monotone_rate_columns(capsys):
