@@ -358,11 +358,11 @@ def _mean_3d(params: DetectorParams, f: float) -> float:
     return _normal_mean(params.time_scale * ((128.0 / math.pi ** 4) * f))
 
 
-def mean_fpt_3d(params: DetectorParams, ctrl: SeriesControl | None = None) -> float:
+def mean_fpt_3d(params: DetectorParams) -> float:
     """Mean first-passage time to the cube surface:
     (128/pi^4) (e_m^2/sigma^2) F(i_s e_m/sigma^2). Raises ValueError where it
     is below the smallest normal double or overflows."""
-    return _mean_3d(params, f3_series(dimensionless_intensity(params), ctrl))
+    return _mean_3d(params, f3_series(dimensionless_intensity(params)))
 
 
 def rate_3d(params: DetectorParams) -> float:
@@ -383,36 +383,31 @@ def dark_fraction(x: float) -> float:
     return _finite_excess(2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x), x)
 
 
-def rate_point(params: DetectorParams, ctrl: SeriesControl | None = None) -> dict:
-    """The `photofpt rate` record at one parameter point.
-
-    Keys, in order: x, the interval and cube means and rates, and each
-    model's dark excess rate*e_m/i_s - 1 at unit cross section, None at
-    x = 0 where it diverges. The cube values come from one evaluation of F.
-    """
-    return _record(params, mean_fpt_3d(params, ctrl))
+def rate_point(params: DetectorParams) -> dict:
+    """The `photofpt rate` record at one parameter point, the one-point case
+    of _rate_points. Keys, in order: x, the interval and cube means and
+    rates, and each model's dark excess rate*e_m/i_s - 1 at unit cross
+    section, None at x = 0 where it diverges."""
+    return next(_rate_points([params]))
 
 
-def _rate_points(grid, ctrl: SeriesControl):
-    """Yield rate_point's record at each DetectorParams of grid in turn, F
-    evaluated at all of them in one call; a point fails as it does alone."""
-    fs = _f3_checked([dimensionless_intensity(p) for p in grid], ctrl.kl_max)
-    for params, f in zip(grid, fs):
-        yield _record(params, _mean_3d(params, f))
-
-
-def _record(params: DetectorParams, mean_3d: float) -> dict:
-    x = dimensionless_intensity(params)
-    rate = _rate(params.cross_section, mean_3d)
-    excess_3d = None
-    if x > 0:
-        excess_3d = _finite_excess(_rate(1.0, mean_3d) * params.e_m / params.i_s - 1.0, x)
-    return {
-        "x": x,
-        "mean_fpt_1d": mean_fpt_1d(params),
-        "mean_fpt_3d": mean_3d,
-        "rate_1d": rate_1d(params),
-        "rate_3d": rate,
-        "dark_fraction_1d": dark_fraction(x) if x > 0 else None,
-        "dark_fraction_3d": excess_3d,
-    }
+def _rate_points(grid, ctrl: SeriesControl = SeriesControl()):
+    """Yield rate_point's record at each DetectorParams of grid in turn, the
+    only builder of that record: F is evaluated at all of them in one call,
+    and a point fails as it does alone."""
+    xs = [dimensionless_intensity(p) for p in grid]
+    for params, x, f in zip(grid, xs, _f3_checked(xs, ctrl.kl_max)):
+        mean_3d = _mean_3d(params, f)
+        rate = _rate(params.cross_section, mean_3d)
+        excess_3d = None
+        if x > 0:
+            excess_3d = _finite_excess(_rate(1.0, mean_3d) * params.e_m / params.i_s - 1.0, x)
+        yield {
+            "x": x,
+            "mean_fpt_1d": (mean_1d := mean_fpt_1d(params)),
+            "mean_fpt_3d": mean_3d,
+            "rate_1d": _rate(params.cross_section, mean_1d),
+            "rate_3d": rate,
+            "dark_fraction_1d": dark_fraction(x) if x > 0 else None,
+            "dark_fraction_3d": excess_3d,
+        }

@@ -175,8 +175,10 @@ def cmd_sweep(args) -> int:
     curve = build_rate_curve(args.em, args.sigma, args.cross_section,
                              _grid(args), SeriesControl())
     if args.format == "csv":
+        # a FIFO or device gets no sidecar: none can be written beside it
+        sidecar_beside = args.out is not None and not _in_place(args.out)
         _emit(_csv_text(RateCurve.HEADER, curve.rows), args.out)
-        if args.out is not None:
+        if sidecar_beside:
             sidecar = {"columns": list(RateCurve.HEADER), **curve.metadata}
             _write_file(args.out + ".meta.json", _json_text(sidecar))
     else:

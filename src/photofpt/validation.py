@@ -125,11 +125,11 @@ def radial_mean_exit_time(e_m: float, sigma: float, nr: int = 4001) -> float:
     Laplacian's limit 3u''(0) with a symmetric ghost point, gives
     u_1 - u_0 = -dr^2/(6D), hence u_0 = (m dr)^2/(6D). The scheme is exact
     on the quadratic solution u = (e_m^2 - r^2)/(3 sigma^2), so at every nr
-    this is e_m^2/(3 sigma^2) up to the rounding of m dr. nr must be at
-    least 3, and e_m and sigma finite and positive; a ValueError is raised
-    otherwise.
+    this is e_m^2/(3 sigma^2) up to the rounding of m dr. nr must be an
+    integer (TypeError otherwise) of at least 3, and e_m and sigma finite and
+    positive; a ValueError is raised otherwise.
     """
-    if nr < 3:
+    if operator.index(nr) < 3:
         raise ValueError(f"nr must be at least 3, got {nr}")
     for name, value in (("e_m", e_m), ("sigma", sigma)):
         if not (math.isfinite(value) and value > 0.0):

@@ -268,20 +268,25 @@ def test_sweep_flags_exit_0_or_one_error_line(em, sigma, cross_section):
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row), rows
 
 
+_SERIES_ERROR = TruncationError("double-series tail 1e-3 exceeds tolerance")
+
+
+# every cube value, of rate and sweep alike, goes through _f3_values
 @pytest.mark.parametrize("module, name, error, argv", [
-    (analytic, "mean_fpt_3d", TruncationError("double-series tail 1e-3 exceeds tolerance"),
-     ("rate",)),
+    (analytic, "_f3_values", _SERIES_ERROR, ("rate",)),
     (field, "sigma_const", QuadratureError("quad: the maximum number of subdivisions\n"
                                            "  has been achieved"),
      ("field", "--points", "2")),
+    (analytic, "_f3_values", _SERIES_ERROR, ("sweep", "--points", "3")),
 ])
 def test_series_and_quadrature_errors_exit_3(monkeypatch, capsys, module, name, error, argv):
     def fail(*args, **kwargs):
         raise error
     monkeypatch.setattr(module, name, fail)
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_QUALITY
     assert _one_error_line(err), err
+    assert out == ""
 
 
 def test_field_exits_3_when_the_rule_runs_out_of_levels(monkeypatch, capsys, tmp_path):
@@ -377,6 +382,8 @@ def test_out_fifo_is_written_in_place(tmp_path, capsys):
     reader.join(timeout=30)
     assert code == EXIT_OK
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    # no .meta.json sidecar, which a FIFO or device has no place for
+    assert sorted(tmp_path.iterdir()) == [fifo]
     assert got == [run_cli(capsys, "sweep", "--points", "3")[1]]
 
 

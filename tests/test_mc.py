@@ -198,6 +198,13 @@ def test_radial_solver_rejects_bad_input(e_m, sigma, nr, match):
         radial_mean_exit_time(e_m, sigma, nr=nr)
 
 
+@pytest.mark.parametrize("nr", [math.inf, math.nan, 101.5])
+def test_radial_solver_rejects_a_grid_size_that_is_not_an_integer(nr):
+    # inf and nan returned nan, and 101.5 a mean on no grid
+    with pytest.raises(TypeError):
+        radial_mean_exit_time(1.0, 1.0, nr=nr)
+
+
 def test_reference_mean_per_boundary():
     """The mean a run is judged against: closed form, series, radial solve,
     and none for the drifted sphere."""
